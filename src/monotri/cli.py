@@ -44,6 +44,8 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_enum(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise InvalidInputError(f"--limit must be non-negative, got {args.limit}")
     cls = args.cls
     if cls in ("mt", "dmt"):
         if args.row is None:
@@ -59,13 +61,14 @@ def _cmd_enum(args) -> int:
         stream = (o.matrix for o in enumeration.enum_wni_objects(args.n, args.i))
     count = 0
     for obj in stream:
+        # checked after the pull, so that a bad row is rejected even at --limit 0
+        if count == args.limit:
+            break
         count += 1
         if not args.count_only:
             _emit(obj, args.format)
             if args.format != "json":
                 sys.stdout.write("\n")
-        if args.limit is not None and count >= args.limit:
-            break
     if args.count_only:
         print(count)
     return EXIT_OK

@@ -4,7 +4,8 @@ decreasing monotone triangles, ASMs, 2-ASMs and W-objects.
 Streams are deterministic: predecessor rows come out in lexicographically
 decreasing order, matrices in row-major lexicographic order with
 -1 < 0 < 1.  Counting never materializes triangles; it runs a DP over
-distinct rows whose transition weights carry the signs.
+distinct rows, memoised up to translation, whose transition weights carry
+the signs.  ``evaluate.alpha`` runs the same DP.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 
 from . import machines
-from ._util import cache_put
+from ._util import MEMO, cache_put, clear_caches, memo_key  # noqa: F401 (clear_caches re-exported)
 from .core import (
     SignMatrix,
     TriangularArray,
@@ -26,7 +26,7 @@ from .core import (
     validate_dmt,
     validate_monotone,
 )
-from .errors import InvalidInputError
+from .errors import InternalError, InvalidInputError
 
 STATISTICS = ("plain", "sc", "dd_with_prefactor", "dd_bar")
 
@@ -124,11 +124,9 @@ def enum_triangles(bottom, cls: TriangleClass):
     validator = validate_monotone if cls is TriangleClass.MT else validate_dmt
     for tower in _towers(bottom, cls):
         t = TriangularArray(tower)
-        assert validator(t)
+        if not validator(t):
+            raise InternalError(f"enumerated an invalid {cls.value} triangle {t.rows}")
         yield t
-
-
-_COUNT_CACHE: dict = {}
 
 
 def _pair_values(row):
@@ -136,25 +134,25 @@ def _pair_values(row):
 
 
 def _count(kernel, row, cls):
-    """DP over distinct rows; ``kernel`` names the transition weight."""
-    key = (kernel, cls.value, row)
-    cached = _COUNT_CACHE.get(key)
+    """DP over distinct rows, memoised up to translation; ``kernel`` names
+    the transition weight."""
+    if len(row) == 1:
+        return 1
+    key = memo_key(kernel, row)
+    cached = MEMO.get(key)
     if cached is not None:
         return cached
-    if len(row) == 1:
-        value = 1
-    else:
-        value = 0
-        below_pairs = _pair_values(row)
-        for above, sc in predecessors(row, cls):
-            if kernel == "plain":
-                w = 1
-            elif kernel == "sc":
-                w = -1 if sc % 2 else 1
-            else:  # pair coincidence weight, shared by dd and dd_bar
-                w = -1 if len(_pair_values(above) & below_pairs) % 2 else 1
-            value += w * _count(kernel, above, cls)
-    cache_put(_COUNT_CACHE, key, value)
+    value = 0
+    below_pairs = _pair_values(row)
+    for above, sc in predecessors(row, cls):
+        if kernel == "plain":
+            w = 1
+        elif kernel == "sc":
+            w = -1 if sc % 2 else 1
+        else:  # pair coincidence weight, shared by dd and dd_bar
+            w = -1 if len(_pair_values(above) & below_pairs) % 2 else 1
+        value += w * _count(kernel, above, cls)
+    cache_put(key, value)
     return value
 
 
@@ -226,24 +224,6 @@ def enum_matrices(kind: str, n: int):
         yield SignMatrix(entries)
 
 
-def brute_matrices(kind: str, n: int):
-    """Filtered brute force over all {-1,0,1} assignments; oracle for the
-    backtracking enumerator at tiny sizes."""
-    if kind == "asm":
-        height, column_machine = n, machines.ASM_WORD
-    elif kind == "2asm":
-        height, column_machine = 2 * n, machines.TWO_ASM_COLUMN
-    else:
-        raise InvalidInputError(f"unknown matrix kind {kind!r}")
-    rows_pool = list(product((-1, 0, 1), repeat=n))
-    for entries in product(rows_pool, repeat=height):
-        if not all(machines.accepts(machines.ASM_WORD, row) for row in entries):
-            continue
-        m = SignMatrix(entries)
-        if all(machines.accepts(column_machine, col) for col in m.columns()):
-            yield m
-
-
 @dataclass(frozen=True)
 class WniObject:
     """The (2n-1) x (n-1) matrix form of one signed object counted by the
@@ -298,7 +278,3 @@ def wni_object_sign(obj: WniObject) -> int:
         trace = machines.parse_steps(machines.TWO_ASM_COLUMN, col)
         edges += len(trace.steps) - trace.sigma0_zero_loops
     return -1 if (obj.i + obj.n + edges) % 2 else 1
-
-
-def clear_caches() -> None:
-    _COUNT_CACHE.clear()

@@ -13,6 +13,9 @@ are provided and must agree wherever their domains overlap:
 * ``SIGNED_DMT_DP`` runs the sign-weighted predecessor DP over decreasing
   monotone triangle rows.
 
+Both DPs are the predecessor-row engine of ``enumeration`` (its ``plain``
+and ``sc`` kernels).  All strategies memoise in the one table of ``_util``.
+
 All arithmetic is exact; rationals appear only inside ``refined_asm`` and
 must cancel.
 """
@@ -23,9 +26,9 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from ._util import cache_put
+from ._util import MEMO, cache_put, clear_caches, memo_key  # noqa: F401 (clear_caches re-exported)
 from .core import has_triple, is_strictly_increasing, is_weakly_decreasing
-from .enumeration import TriangleClass, predecessors
+from .enumeration import TriangleClass, _count
 from .errors import InternalError, InvalidInputError, ResourceLimitError
 
 DEFAULT_OP_MAX_N = 6
@@ -108,55 +111,15 @@ class AlphaMethod(Enum):
     SIGNED_DMT_DP = "dmt"
 
 
-_MT_CACHE: dict = {}
-_DMT_CACHE: dict = {}
-_OP_CACHE: dict = {}
-
-_CACHE_MODES = ("shared", "private", "none")
-
-
-def _alpha_mt(k, memo):
+def _alpha_op(k):
     if len(k) == 1:
         return 1
-    if memo is not None:
-        cached = memo.get(k)
-        if cached is not None:
-            return cached
-    value = sum(_alpha_mt(row, memo) for row, _ in predecessors(k, TriangleClass.MT))
-    if memo is not None:
-        cache_put(memo, k, value)
-    return value
-
-
-def _alpha_dmt(k, memo):
-    if len(k) == 1:
-        return 1
-    if memo is not None:
-        cached = memo.get(k)
-        if cached is not None:
-            return cached
-    value = 0
-    for row, sc in predecessors(k, TriangleClass.DMT):
-        sub = _alpha_dmt(row, memo)
-        value += -sub if sc % 2 else sub
-    if memo is not None:
-        cache_put(memo, k, value)
-    return value
-
-
-def _alpha_op(k, memo):
-    if len(k) == 1:
-        return 1
-    if memo is not None:
-        # normalization by the last entry is sound because alpha is
-        # shift-invariant (tested separately with the cache off)
-        key = (len(k), tuple(x - k[-1] for x in k))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-    value = _op_apply(lambda *l: _alpha_op(l, memo), k, 5)
-    if memo is not None:
-        cache_put(memo, key, value)
+    key = memo_key("op", k)
+    cached = MEMO.get(key)
+    if cached is not None:
+        return cached
+    value = _op_apply(lambda *l: _alpha_op(l), k, 5)
+    cache_put(key, value)
     return value
 
 
@@ -164,14 +127,11 @@ def alpha(
     k,
     method: AlphaMethod | str = AlphaMethod.AUTO,
     *,
-    cache: str = "shared",
     op_max_n: int = DEFAULT_OP_MAX_N,
     op_max_spread: int = DEFAULT_OP_MAX_SPREAD,
 ) -> int:
     """Evaluate alpha(n; k) exactly.
 
-    ``cache`` is "shared" (process-wide memo tables), "private" (fresh table
-    for this invocation) or "none" (no memoization; deterministic replay).
     The operator recursion refuses vectors beyond (op_max_n, op_max_spread).
     """
     k = tuple(int(x) for x in k)
@@ -182,8 +142,6 @@ def alpha(
             method = AlphaMethod(method)
         except ValueError:
             raise InvalidInputError(f"unknown alpha method {method!r}") from None
-    if cache not in _CACHE_MODES:
-        raise InvalidInputError(f"cache mode must be one of {_CACHE_MODES}")
 
     increasing = is_strictly_increasing(k)
     decreasing = is_weakly_decreasing(k)
@@ -198,16 +156,14 @@ def alpha(
     if method is AlphaMethod.MONOTONE_DP:
         if not increasing:
             raise InvalidInputError("MONOTONE_DP needs a strictly increasing row")
-        memo = _MT_CACHE if cache == "shared" else ({} if cache == "private" else None)
-        return _alpha_mt(k, memo)
+        return _count("plain", k, TriangleClass.MT)
 
     if method is AlphaMethod.SIGNED_DMT_DP:
         if not decreasing:
             raise InvalidInputError("SIGNED_DMT_DP needs a weakly decreasing row")
         if has_triple(k):
             return 0
-        memo = _DMT_CACHE if cache == "shared" else ({} if cache == "private" else None)
-        return _alpha_dmt(k, memo)
+        return _count("sc", k, TriangleClass.DMT)
 
     n = len(k)
     spread = max(k) - min(k)
@@ -216,8 +172,7 @@ def alpha(
             f"operator recursion refused: n={n} (max {op_max_n}), "
             f"spread={spread} (max {op_max_spread})"
         )
-    memo = _OP_CACHE if cache == "shared" else ({} if cache == "private" else None)
-    return _alpha_op(k, memo)
+    return _alpha_op(k)
 
 
 def forward_difference_power(g, i: int, x: int, backward: bool = False) -> int:
@@ -273,9 +228,3 @@ def X_number(n: int, i: int) -> int:
         sign = -1 if (n + i + l - 1) % 2 else 1
         total += binomial(i - 1, l - 1) * sign * refined_asm(n, l)
     return total
-
-
-def clear_caches() -> None:
-    _MT_CACHE.clear()
-    _DMT_CACHE.clear()
-    _OP_CACHE.clear()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, ParseError
+from .errors import InternalError, InvalidInputError, ParseError
 
 ASM_WORD = "asm-word"
 TWO_ASM_COLUMN = "2asm-column"
@@ -201,22 +201,33 @@ def replay(machine, tags):
     return tuple(word), state
 
 
-# Single-symbol DFA view.  For the 2-ASM column machine the composite
-# transitions are equivalent to a three-state DFA in which partial sum 1
-# only allows an immediate +-1 (no rest at 1).
-_DFAS = {
-    ASM_WORD: ({0: {0: 0, 1: 1}, 1: {0: 1, -1: 0}}, frozenset({1})),
-    MODIFIED_ROW: ({0: {0: 0, 1: 1}, 1: {0: 1, -1: 0}}, frozenset({0})),
-    TWO_ASM_COLUMN: ({0: {0: 0, 1: 1}, 1: {1: 2, -1: 0}, 2: {0: 2, -1: 1}}, frozenset({2})),
-    S1_COLUMN: ({0: {0: 0, 1: 1}, 1: {1: 2, -1: 0}, 2: {0: 2, -1: 1}}, frozenset({2})),
-}
+def _single_symbol_dfa(spec):
+    """Split each two-symbol transition (s0, s1) at the partial sum
+    source + s0, which names its middle state; for the 2-ASM column machine
+    partial sum 1 then only allows an immediate +-1 (no rest at 1)."""
+    table = {}
+
+    def add(source, symbol, target):
+        if table.setdefault(source, {}).setdefault(symbol, target) != target:
+            raise InternalError(f"{spec.machine_id}: two targets for {symbol} at {source}")
+
+    for tr in spec.transitions:
+        if len(tr.symbols) == 1:
+            add(tr.source, tr.symbols[0], tr.target)
+        else:
+            s0, s1 = tr.symbols
+            add(tr.source, s0, tr.source + s0)
+            add(tr.source + s0, s1, tr.target)
+    return table
+
+
+_DFAS = {mid: _single_symbol_dfa(spec) for mid, spec in MACHINES.items()}
 
 
 def dfa(machine):
     """(transition table, start state, accept set) of the single-symbol view."""
     spec = _spec(machine)
-    table, accept = _DFAS[spec.machine_id]
-    return table, 0, accept
+    return _DFAS[spec.machine_id], spec.start, spec.accept
 
 
 def _s1_blocks(machine_id, state, consumed):

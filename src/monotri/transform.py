@@ -19,7 +19,7 @@ from enum import Enum
 
 from . import machines
 from .core import SignMatrix, TriangularArray, validate_dmt, validate_monotone
-from .errors import AmbiguityError, InvalidInputError
+from .errors import AmbiguityError, InternalError, InvalidInputError
 
 
 class BijectionKind(Enum):
@@ -101,7 +101,8 @@ def matrix_to_triangle(m: SignMatrix, kind: BijectionKind) -> TriangularArray:
         rows.append(row)
     t = TriangularArray(tuple(rows))
     validator = validate_monotone if kind is BijectionKind.MT_ASM else validate_dmt
-    assert validator(t)
+    if not validator(t):
+        raise InternalError(f"{kind.value} inverse produced an invalid triangle {t.rows}")
     return t
 
 
@@ -135,7 +136,8 @@ def s1_to_mt(t: TriangularArray) -> TriangularArray:
         distinct = tuple(sorted(set(t.rows[2 * i - 1])))
         rows.append(distinct)
     out = TriangularArray(tuple(rows))
-    assert validate_monotone(out) and out.bottom == _mt_bottom(n)
+    if not (validate_monotone(out) and out.bottom == _mt_bottom(n)):
+        raise InternalError(f"collapsing the S1 triangle gave {out.rows}")
     return out
 
 

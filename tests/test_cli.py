@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from monotri.cli import run_cli
 from monotri.serialize import serialize
@@ -53,6 +59,22 @@ def test_enum_limit(capsys):
     code, out, _ = run(capsys, "enum", "--class", "asm", "--n", "3", "--format",
                        "json", "--limit", "4")
     assert code == 0 and len(out.strip().splitlines()) == 4
+
+
+def test_enum_limit_zero(capsys):
+    code, out, _ = run(capsys, "enum", "--class", "asm", "--n", "3", "--format",
+                       "json", "--limit", "0")
+    assert code == 0 and out == ""
+    code, out, _ = run(capsys, "enum", "--class", "asm", "--n", "3", "--limit", "0",
+                       "--count-only")
+    assert code == 0 and out.strip() == "0"
+    code, out, err = run(capsys, "enum", "--class", "mt", "--row", "3,2", "--limit", "0")
+    assert code == 2 and out == "" and err
+
+
+def test_enum_negative_limit(capsys):
+    code, out, err = run(capsys, "enum", "--class", "asm", "--n", "3", "--limit", "-1")
+    assert code == 2 and out == "" and "--limit" in err
 
 
 def test_enum_missing_args(capsys):
@@ -155,3 +177,25 @@ def test_bad_row_text(capsys):
 def test_results_only_on_stdout(capsys):
     code, out, err = run(capsys, "enum", "--class", "asm", "--n", "3", "--count-only")
     assert code == 0 and out.strip() == "7" and err == ""
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def python_m_monotri(*argv, **env):
+    return subprocess.run(
+        [sys.executable, "-m", "monotri", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC), **env}, timeout=60,
+    )
+
+
+def test_python_m_runs_cli():
+    out = python_m_monotri("alpha", "--row", "2,4,5,8,9")
+    assert out.returncode == 0 and out.stdout.strip() == "16939"
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
+def test_bad_cache_limit_rejected(value):
+    out = python_m_monotri("alpha", "--row", "1,2", MONOTRI_CACHE_LIMIT=value)
+    assert out.returncode != 0 and out.stdout == ""
+    assert "InvalidInputError" in out.stderr and "MONOTRI_CACHE_LIMIT" in out.stderr

@@ -20,10 +20,23 @@ from monotri import (
     validate_monotone,
     wni_object_sign,
 )
-from monotri.enumeration import WniObject, brute_matrices
+from monotri.enumeration import WniObject
 from monotri.machines import ASM_WORD, MODIFIED_ROW, TWO_ASM_COLUMN, accepts
 
 from golden import ASM_COUNTS, DMTS_63321, W43_MATRIX, dmt_bottom, mt_bottom
+
+
+def brute_matrices(kind, n):
+    """Filtered brute force over all {-1,0,1} assignments; oracle for the
+    backtracking enumerator at tiny sizes."""
+    height, column_machine = (n, ASM_WORD) if kind == "asm" else (2 * n, TWO_ASM_COLUMN)
+    rows_pool = list(product((-1, 0, 1), repeat=n))
+    for entries in product(rows_pool, repeat=height):
+        if not all(accepts(ASM_WORD, row) for row in entries):
+            continue
+        m = SignMatrix(entries)
+        if all(accepts(column_machine, col) for col in m.columns()):
+            yield m
 
 
 def test_predecessors_figure_rows():

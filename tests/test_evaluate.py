@@ -193,21 +193,44 @@ def test_alpha_operator_guard():
 
 
 def test_alpha_methods_agree_increasing():
+    # the shifted copies make the DP read translated keys from a warm memo
     for n in range(1, 5):
         for k in product(range(1, 6), repeat=n):
             if all(a < b for a, b in zip(k, k[1:])):
-                assert alpha(k, AlphaMethod.MONOTONE_DP) == alpha(
-                    k, AlphaMethod.OPERATOR_RECURSION
-                ), k
+                for c in (0, -7, 9):
+                    row = tuple(x + c for x in k)
+                    assert alpha(row, AlphaMethod.MONOTONE_DP) == alpha(
+                        row, AlphaMethod.OPERATOR_RECURSION
+                    ), row
 
 
 def test_alpha_methods_agree_decreasing():
     for n in range(1, 5):
         for k in product(range(1, 5), repeat=n):
             if all(a >= b for a, b in zip(k, k[1:])) and all(k.count(v) <= 2 for v in k):
-                assert alpha(k, AlphaMethod.SIGNED_DMT_DP) == alpha(
-                    k, AlphaMethod.OPERATOR_RECURSION
-                ), k
+                for c in (0, -7, 9):
+                    row = tuple(x + c for x in k)
+                    assert alpha(row, AlphaMethod.SIGNED_DMT_DP) == alpha(
+                        row, AlphaMethod.OPERATOR_RECURSION
+                    ), row
+
+
+def test_operator_recursion_never_reads_dp_entries():
+    from monotri import _util
+
+    try:
+        for row, dp in (((2, 4, 5, 8, 9), AlphaMethod.MONOTONE_DP),
+                        ((6, 3, 3, 2, 1), AlphaMethod.SIGNED_DMT_DP)):
+            _util.clear_caches()
+            want = alpha(row, AlphaMethod.OPERATOR_RECURSION)
+            _util.clear_caches()
+            alpha(row, dp)
+            for key in list(_util.MEMO):
+                _util.MEMO[key] += 1  # every DP entry is now wrong
+            assert alpha(row, dp) == want + 1
+            assert alpha(row, AlphaMethod.OPERATOR_RECURSION) == want
+    finally:
+        _util.clear_caches()
 
 
 def test_alpha_vanishes_on_triples():
@@ -218,20 +241,16 @@ def test_alpha_vanishes_on_triples():
 
 
 def test_alpha_shift_invariance_uncached():
+    def op(k):
+        return 1 if len(k) == 1 else sum_operator(lambda *l: op(l), k, 5)
+
     for n in range(1, 4):
         for k in product(range(0, 4), repeat=n):
-            base = alpha(k, AlphaMethod.OPERATOR_RECURSION, cache="none")
+            base = op(k)
             for c in (-2, -1, 1, 2):
                 shifted = tuple(x + c for x in k)
-                assert alpha(shifted, AlphaMethod.OPERATOR_RECURSION, cache="none") == base
-
-
-def test_alpha_shift_invariance_private_cache():
-    for k in ((0, 2, 1, 3), (3, 1, 0, 2), (1, 1, 2, 0)):
-        base = alpha(k, AlphaMethod.OPERATOR_RECURSION, cache="private")
-        for c in (-2, 2):
-            shifted = tuple(x + c for x in k)
-            assert alpha(shifted, AlphaMethod.OPERATOR_RECURSION, cache="private") == base
+                assert op(shifted) == base
+                assert alpha(shifted, AlphaMethod.OPERATOR_RECURSION) == base
 
 
 def test_alpha_reflection():
@@ -266,30 +285,20 @@ def test_staircase_values_long():
     assert alpha(tuple(range(13, 0, -1))) == STAIRCASE_TABLE[13]
 
 
-def test_cache_modes_agree():
-    k = (4, 1, 3, 0)
-    want = alpha(k, AlphaMethod.OPERATOR_RECURSION, cache="none")
-    assert alpha(k, AlphaMethod.OPERATOR_RECURSION, cache="private") == want
-    assert alpha(k, AlphaMethod.OPERATOR_RECURSION, cache="shared") == want
-    with pytest.raises(InvalidInputError):
-        alpha(k, AlphaMethod.OPERATOR_RECURSION, cache="sometimes")
-
-
 def test_cache_limit_keeps_results_correct():
     from monotri import _util
-    from monotri.evaluate import clear_caches
 
     old = _util.cache_limit()
     try:
         _util.set_cache_limit(2)
-        clear_caches()
+        _util.clear_caches()
         assert alpha((2, 4, 5, 8, 9), AlphaMethod.MONOTONE_DP) == 16939
-        from monotri.evaluate import _MT_CACHE
-
-        assert len(_MT_CACHE) <= 2
+        assert alpha((6, 3, 3, 2, 1), AlphaMethod.SIGNED_DMT_DP) == 3
+        assert alpha((2, 4, 5, 8, 9), AlphaMethod.OPERATOR_RECURSION) == 16939
+        assert len(_util.MEMO) <= 2
     finally:
         _util.set_cache_limit(old)
-        clear_caches()
+        _util.clear_caches()
 
 
 # difference operators -------------------------------------------------------

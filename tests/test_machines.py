@@ -2,12 +2,22 @@ from itertools import product
 
 import pytest
 
-from monotri import InvalidInputError, ParseError, accepts, generate, parse_steps
+from monotri import (
+    InternalError,
+    InvalidInputError,
+    MachineSpec,
+    ParseError,
+    accepts,
+    generate,
+    parse_steps,
+)
 from monotri.machines import (
     ASM_WORD,
     MODIFIED_ROW,
     S1_COLUMN,
     TWO_ASM_COLUMN,
+    _single_symbol_dfa,
+    _t,
     replay,
 )
 
@@ -111,6 +121,14 @@ def test_generate_goldens():
 def test_generate_against_filter_oracle(machine, length):
     expected = sorted(w for w in product((-1, 0, 1), repeat=length) if accepts(machine, w))
     assert list(generate(machine, length)) == expected
+
+
+def test_single_symbol_view_rejects_clashing_middle_states():
+    # both split at partial sum 1, where a 1 must lead to 2 for (1,1) but to 0 for (-1,1)
+    spec = MachineSpec("clash", frozenset({0, 2}), 0, frozenset({2}),
+                       (_t(0, (1, 1), 2), _t(2, (-1, 1), 0)))
+    with pytest.raises(InternalError):
+        _single_symbol_dfa(spec)
 
 
 def test_s1_column_restricts_two_asm():

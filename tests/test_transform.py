@@ -3,6 +3,7 @@ import pytest
 from monotri import (
     AlphaMethod,
     BijectionKind,
+    InternalError,
     InvalidInputError,
     SignMatrix,
     TriangleClass,
@@ -45,6 +46,25 @@ def test_trivial_pair():
     m = SignMatrix(((1,),))
     assert triangle_to_matrix(t, BijectionKind.MT_ASM) == m
     assert matrix_to_triangle(m, BijectionKind.MT_ASM) == t
+
+
+def test_self_checks_raise_internal_error(monkeypatch):
+    # raised, not asserted, so that the checks also run under python -O
+    from monotri import enumeration, transform
+
+    monkeypatch.setattr(transform, "validate_monotone", lambda t: False)
+    with pytest.raises(InternalError):
+        s1_to_mt(TriangularArray(((1,), (1, 1))))
+    monkeypatch.setattr(transform, "validate_dmt", lambda t: False)
+    with pytest.raises(InternalError):
+        matrix_to_triangle(SignMatrix(((1,),)), BijectionKind.MT_ASM)
+    with pytest.raises(InternalError):
+        matrix_to_triangle(GOLDEN_M, BijectionKind.DMT_2ASM)
+    monkeypatch.setattr(enumeration, "validate_monotone", lambda t: False)
+    monkeypatch.setattr(enumeration, "validate_dmt", lambda t: False)
+    for bottom, cls in (((1, 2, 3), TriangleClass.MT), ((2, 2, 1, 1), TriangleClass.DMT)):
+        with pytest.raises(InternalError):
+            next(enum_triangles(bottom, cls))
 
 
 def test_small_mt_asm_example():
