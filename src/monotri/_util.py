@@ -8,7 +8,9 @@ another's entries, so the operator recursion stays an independent oracle.
 The table is process-wide, so related evaluations reuse each other's rows,
 and write-once, so concurrent writers are harmless under CPython's atomic
 dict operations.  ``MONOTRI_CACHE_LIMIT`` (entries, default 2**20) caps
-its growth; once it is full, new results are simply not stored.
+its growth; once it is full, new results are simply not stored.  The
+variable is read on first use, so a bad value is rejected there, not at
+import.
 """
 
 import os
@@ -26,10 +28,14 @@ def _parse_limit(text: str) -> int:
     return int(text)
 
 
-_limit = _parse_limit(os.environ.get("MONOTRI_CACHE_LIMIT", str(DEFAULT_CACHE_LIMIT)))
+_limit = None
 
 
 def cache_limit() -> int:
+    """The entry cap, read from ``MONOTRI_CACHE_LIMIT`` on first use."""
+    global _limit
+    if _limit is None:
+        _limit = _parse_limit(os.environ.get("MONOTRI_CACHE_LIMIT", str(DEFAULT_CACHE_LIMIT)))
     return _limit
 
 
@@ -44,7 +50,7 @@ def memo_key(kernel: str, row: tuple) -> tuple:
 
 
 def cache_put(key, value) -> None:
-    if len(MEMO) < _limit:
+    if len(MEMO) < cache_limit():
         MEMO[key] = value
 
 

@@ -7,10 +7,12 @@ Verified, 1 failed verification, 2 invalid input, 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
 from . import enumeration, exactla, transform
+from ._util import cache_limit
 from .core import triangle_stats
 from .enumeration import TriangleClass
 from .errors import InvalidInputError, ParseError, ResourceLimitError
@@ -60,10 +62,7 @@ def _cmd_enum(args) -> int:
             raise InvalidInputError("--class wni needs --n and --i")
         stream = (o.matrix for o in enumeration.enum_wni_objects(args.n, args.i))
     count = 0
-    for obj in stream:
-        # checked after the pull, so that a bad row is rejected even at --limit 0
-        if count == args.limit:
-            break
+    for obj in itertools.islice(stream, args.limit):
         count += 1
         if not args.count_only:
             _emit(obj, args.format)
@@ -190,6 +189,8 @@ def run_cli(argv) -> int:
     except SystemExit as e:
         return EXIT_INVALID if e.code not in (0, None) else EXIT_OK
     try:
+        # a bad MONOTRI_CACHE_LIMIT is an input error of every subcommand
+        cache_limit()
         return args.fn(args)
     except (InvalidInputError, ParseError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -212,6 +212,16 @@ def transition_stats(k, l) -> tuple[int, int]:
     return pairs, newcomers
 
 
+def _mt_bottom(n):
+    # (1, 2, ..., n)
+    return tuple(range(1, n + 1))
+
+
+def _dmt_bottom(n):
+    # (n, n, n-1, n-1, ..., 1, 1)
+    return tuple(v for x in range(n, 0, -1) for v in (x, x))
+
+
 def _pair_values(row) -> set:
     return {v for v, c in Counter(row).items() if c == 2}
 

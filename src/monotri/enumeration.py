@@ -3,9 +3,12 @@ decreasing monotone triangles, ASMs, 2-ASMs and W-objects.
 
 Streams are deterministic: predecessor rows come out in lexicographically
 decreasing order, matrices in row-major lexicographic order with
--1 < 0 < 1.  Counting never materializes triangles; it runs a DP over
-distinct rows, memoised up to translation, whose transition weights carry
-the signs.  ``evaluate.alpha`` runs the same DP.
+-1 < 0 < 1.  The ``enum_*`` functions check their arguments when called
+and return the stream; matrices come from ``machines.backtrack`` over the
+row words of ``machines.generate``.  Counting never materializes
+triangles; it runs a DP over distinct rows, memoised up to translation,
+whose transition weights carry the signs.  ``evaluate.alpha`` runs the
+same DP.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from ._util import MEMO, cache_put, clear_caches, memo_key  # noqa: F401 (clear_
 from .core import (
     SignMatrix,
     TriangularArray,
+    _pair_values,
     has_triple,
     is_strictly_increasing,
     is_weakly_decreasing,
@@ -120,17 +124,16 @@ def _towers(bottom, cls):
 def enum_triangles(bottom, cls: TriangleClass):
     """All triangles of the class with the given bottom row, built by
     iterated predecessor rows (branches that cannot reach the apex die)."""
-    bottom = _check_bottom(bottom, cls)
+    return _checked_triangles(_check_bottom(bottom, cls), cls)
+
+
+def _checked_triangles(bottom, cls):
     validator = validate_monotone if cls is TriangleClass.MT else validate_dmt
     for tower in _towers(bottom, cls):
         t = TriangularArray(tower)
         if not validator(t):
             raise InternalError(f"enumerated an invalid {cls.value} triangle {t.rows}")
         yield t
-
-
-def _pair_values(row):
-    return frozenset(v for v, c in Counter(row).items() if c == 2)
 
 
 def _count(kernel, row, cls):
@@ -179,36 +182,6 @@ def signed_count(bottom, cls: TriangleClass, statistic: str):
     return -value if exponent % 2 else value
 
 
-def _row_words(machine_id, width):
-    return list(machines.generate(machine_id, width))
-
-
-def _matrix_backtrack(height, width, row_words_for, column_machine):
-    """Row-by-row backtracking with column machine-state pruning; emits
-    entry tuples in row-major lexicographic order."""
-    trans, start, _ = machines.dfa(column_machine)
-    table = machines.reach_table(column_machine, height)
-
-    def rec(r, col_states, acc):
-        if r == height:
-            yield tuple(acc)
-            return
-        remaining = height - r - 1
-        for word in row_words_for(r):
-            nxt = []
-            for j, sym in enumerate(word):
-                s2 = trans[col_states[j]].get(sym)
-                if s2 is None or not table[remaining][s2]:
-                    break
-                nxt.append(s2)
-            else:
-                acc.append(word)
-                yield from rec(r + 1, nxt, acc)
-                acc.pop()
-
-    yield from rec(0, [start] * width, [])
-
-
 def enum_matrices(kind: str, n: int):
     """All ASMs (n x n) or 2-ASMs (2n x n) of size n, row-major lexicographic."""
     if n < 1:
@@ -219,9 +192,9 @@ def enum_matrices(kind: str, n: int):
         height, column_machine = 2 * n, machines.TWO_ASM_COLUMN
     else:
         raise InvalidInputError(f"unknown matrix kind {kind!r}")
-    words = _row_words(machines.ASM_WORD, n)
-    for entries in _matrix_backtrack(height, n, lambda r: words, column_machine):
-        yield SignMatrix(entries)
+    words = list(machines.generate(machines.ASM_WORD, n))
+    return (SignMatrix(entries)
+            for entries in machines.backtrack(column_machine, n, [words] * height))
 
 
 @dataclass(frozen=True)
@@ -258,14 +231,11 @@ def enum_wni_objects(n: int, i: int):
         raise InvalidInputError(f"need 1 <= i <= 2n-1, got n={n}, i={i}")
     height, width = 2 * n - 1, n - 1
     modified = 2 * n - i - 1
-    asm_words = _row_words(machines.ASM_WORD, width)
-    mod_words = _row_words(machines.MODIFIED_ROW, width)
-
-    def words_for(r):
-        return mod_words if r == modified else asm_words
-
-    for entries in _matrix_backtrack(height, width, words_for, machines.TWO_ASM_COLUMN):
-        yield WniObject(n, i, SignMatrix(entries))
+    asm_words = list(machines.generate(machines.ASM_WORD, width))
+    mod_words = list(machines.generate(machines.MODIFIED_ROW, width))
+    row_words = [mod_words if r == modified else asm_words for r in range(height)]
+    return (WniObject(n, i, SignMatrix(entries))
+            for entries in machines.backtrack(machines.TWO_ASM_COLUMN, width, row_words))
 
 
 def wni_object_sign(obj: WniObject) -> int:

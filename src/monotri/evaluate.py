@@ -27,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 
 from ._util import MEMO, cache_put, clear_caches, memo_key  # noqa: F401 (clear_caches re-exported)
-from .core import has_triple, is_strictly_increasing, is_weakly_decreasing
+from .core import _dmt_bottom, has_triple, is_strictly_increasing, is_weakly_decreasing
 from .enumeration import TriangleClass, _count
 from .errors import InternalError, InvalidInputError, ResourceLimitError
 
@@ -199,17 +199,12 @@ def refined_asm(n: int, i: int) -> int:
     return int(value)
 
 
-def _w_bottom_tail(n: int) -> tuple[int, ...]:
-    # (n-1, n-1, n-2, n-2, ..., 1, 1)
-    return tuple(v for x in range(n - 1, 0, -1) for v in (x, x))
-
-
 def W_number(n: int, i: int) -> int:
     """(i-1)-st forward difference, at k1 = n, of alpha over bottom rows
     (k1, n-1, n-1, ..., 1, 1); every evaluated row is weakly decreasing."""
     if n < 1 or not 1 <= i <= 2 * n - 1:
         raise InvalidInputError(f"need 1 <= i <= 2n-1, got n={n}, i={i}")
-    tail = _w_bottom_tail(n)
+    tail = _dmt_bottom(n - 1)
 
     def g(x):
         return alpha((x,) + tail, AlphaMethod.SIGNED_DMT_DP)

@@ -11,15 +11,20 @@
 * ``s1-column``: a 2-ASM column whose even-length prefixes sum to 0 or 2;
   generates the columns of the 2-ASMs that encode structured triangles.
 
-Machines are immutable.  ``accepts``/``parse_steps`` run the composite
-transitions directly (deterministic with two symbols of lookahead);
-``generate`` and the enumeration module use an equivalent single-symbol
-DFA view plus a reachability table for pruning.
+``MACHINES`` holds the one description of each machine: its composite
+transitions plus the even-prefix rule.  Every run goes through the
+single-symbol view ``_DFAS`` derived from it, in which a two-symbol step is
+split at its partial sum (a middle state that is never a rest state).
+``accepts`` and ``parse_steps`` walk a word through it, ``reach_table``
+records which states can still reach an accept state, and ``backtrack``
+builds matrices row by row with one machine state per column, pruned by
+that table; ``generate`` is its one-column case.  Machines are immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InternalError, InvalidInputError, ParseError
 
@@ -103,21 +108,6 @@ def _spec(machine) -> MachineSpec:
         raise InvalidInputError(f"unknown machine id {machine!r}") from None
 
 
-def _lookup(spec):
-    # (source, first symbol) -> transition | {second symbol: transition}
-    table = {}
-    for tr in spec.transitions:
-        key = (tr.source, tr.symbols[0])
-        if len(tr.symbols) == 1:
-            table[key] = tr
-        else:
-            table.setdefault(key, {})[tr.symbols[1]] = tr
-    return table
-
-
-_LOOKUPS = {mid: _lookup(spec) for mid, spec in MACHINES.items()}
-
-
 def _check_word(word):
     word = tuple(word)
     for s in word:
@@ -126,64 +116,56 @@ def _check_word(word):
     return word
 
 
-def _scan(spec, word):
-    """Deterministic scan; returns (end state, transitions) or None."""
-    table = _LOOKUPS[spec.machine_id]
-    state = spec.start
-    steps = []
-    i = 0
-    n = len(word)
-    while i < n:
-        entry = table.get((state, word[i]))
-        if entry is None:
-            return None
-        if isinstance(entry, Transition):
-            steps.append(entry)
-            state = entry.target
-            i += 1
-        else:
-            if i + 1 >= n:
-                return None
-            tr = entry.get(word[i + 1])
-            if tr is None:
-                return None
-            steps.append(tr)
-            state = tr.target
-            i += 2
-    return state, steps
-
-
-def _even_prefix_ok(spec, word):
+def _allowed(spec):
+    """The states allowed after an even and after an odd number of symbols:
+    all of the single-symbol view's, except that the even-prefix rule keeps
+    only ``spec.even_prefix_sums`` after an even number, when that is set."""
+    states = frozenset(_DFAS[spec.machine_id])
     if spec.even_prefix_sums is None:
-        return True
-    total = 0
-    for i, s in enumerate(word, start=1):
-        total += s
-        if i % 2 == 0 and total not in spec.even_prefix_sums:
-            return False
-    return True
+        return states, states
+    return states & spec.even_prefix_sums, states
+
+
+def _walk(spec, word):
+    """Partial sums the single-symbol view visits on ``word``, start
+    included, or None if the machine rejects the word."""
+    trans = _DFAS[spec.machine_id]
+    allowed = _ALLOWED[spec.machine_id]
+    state = spec.start
+    path = [state]
+    for consumed, sym in enumerate(word, start=1):
+        state = trans[state].get(sym)
+        if state not in allowed[consumed % 2]:
+            return None
+        path.append(state)
+    return path if state in spec.accept else None
 
 
 def accepts(machine, word) -> bool:
     """True iff the machine generates the word ending in an accept state."""
-    spec = _spec(machine)
-    word = _check_word(word)
-    result = _scan(spec, word)
-    if result is None or result[0] not in spec.accept:
-        return False
-    return _even_prefix_ok(spec, word)
+    return _walk(_spec(machine), _check_word(word)) is not None
 
 
 def parse_steps(machine, word) -> StepTrace:
-    """Unique step decomposition of an accepted word."""
+    """Unique step decomposition of an accepted word: the walk cut at the
+    rest states, each piece one transition."""
     spec = _spec(machine)
     word = _check_word(word)
-    result = _scan(spec, word)
-    if result is None or result[0] not in spec.accept or not _even_prefix_ok(spec, word):
+    path = _walk(spec, word)
+    if path is None:
         raise ParseError(f"word {word!r} rejected by {spec.machine_id}")
-    _, steps = result
-    zero_loops = sum(1 for tr in steps if tr.source == 0 and tr.symbols == (0,))
-    return StepTrace(tuple(tr.tag for tr in steps), zero_loops)
+    by_step = _STEPS[spec.machine_id]
+    tags = []
+    zero_loops = 0
+    cut = 0
+    for i in range(1, len(path)):
+        if path[i] in spec.states:
+            tr = by_step[path[cut], word[cut:i]]
+            tags.append(tr.tag)
+            if tr.source == 0 and tr.symbols == (0,):
+                zero_loops += 1
+            cut = i
+    return StepTrace(tuple(tags), zero_loops)
 
 
 def replay(machine, tags):
@@ -204,7 +186,9 @@ def replay(machine, tags):
 def _single_symbol_dfa(spec):
     """Split each two-symbol transition (s0, s1) at the partial sum
     source + s0, which names its middle state; for the 2-ASM column machine
-    partial sum 1 then only allows an immediate +-1 (no rest at 1)."""
+    partial sum 1 then only allows an immediate +-1 (no rest at 1).  A middle
+    state must not be a rest state, so that cutting a walk at the rest states
+    recovers its transitions."""
     table = {}
 
     def add(source, symbol, target):
@@ -216,71 +200,74 @@ def _single_symbol_dfa(spec):
             add(tr.source, tr.symbols[0], tr.target)
         else:
             s0, s1 = tr.symbols
-            add(tr.source, s0, tr.source + s0)
-            add(tr.source + s0, s1, tr.target)
+            middle = tr.source + s0
+            if middle in spec.states:
+                raise InternalError(
+                    f"{spec.machine_id}: middle state {middle} of {tr.tag} is a rest state")
+            add(tr.source, s0, middle)
+            add(middle, s1, tr.target)
     return table
 
 
 _DFAS = {mid: _single_symbol_dfa(spec) for mid, spec in MACHINES.items()}
-
-
-def dfa(machine):
-    """(transition table, start state, accept set) of the single-symbol view."""
-    spec = _spec(machine)
-    return _DFAS[spec.machine_id], spec.start, spec.accept
-
-
-def _s1_blocks(machine_id, state, consumed):
-    # s1-column forbids partial sum 1 after an even number of symbols
-    return machine_id == S1_COLUMN and consumed % 2 == 0 and state == 1
+_ALLOWED = {mid: _allowed(spec) for mid, spec in MACHINES.items()}
+# each machine's transitions by (source, symbols), to name a walk's pieces
+_STEPS = {mid: {(tr.source, tr.symbols): tr for tr in spec.transitions}
+          for mid, spec in MACHINES.items()}
 
 
 def reach_table(machine, length: int):
     """``table[r][state]`` is True iff an accept state is reachable in exactly
-    ``r`` more symbols, given ``length - r`` symbols already consumed."""
+    ``r`` more symbols, given ``length - r`` symbols already consumed; a state
+    the even-prefix rule forbids there reaches nothing."""
     spec = _spec(machine)
-    trans, _, accept = dfa(machine)
-    table = [{s: s in accept for s in trans}]
+    trans = _DFAS[spec.machine_id]
+    allowed = _ALLOWED[spec.machine_id]
+    table = [{s: s in spec.accept and s in allowed[length % 2] for s in trans}]
     for r in range(1, length + 1):
-        consumed = length - r
-        row = {}
-        for s in trans:
-            ok = False
-            for sym, s2 in trans[s].items():
-                if _s1_blocks(spec.machine_id, s2, consumed + 1):
-                    continue
-                if table[r - 1][s2]:
-                    ok = True
-                    break
-            row[s] = ok
-        table.append(row)
+        after, ok = table[-1], allowed[(length - r) % 2]
+        table.append({s: s in ok and any(map(after.__getitem__, out.values()))
+                      for s, out in trans.items()})
     return table
 
 
+def backtrack(column_machine, width: int, row_words):
+    """Matrices whose row ``r`` is taken from ``row_words[r]`` (words of
+    length ``width``) and whose columns the column machine accepts, as
+    tuples of rows in row-major lexicographic order of the word lists.
+    Each column carries its machine state; a row is refused as soon as one
+    column could no longer reach an accept state in the rows left."""
+    spec = _spec(column_machine)
+    trans = _DFAS[spec.machine_id]
+    height = len(row_words)
+    table = reach_table(spec, height)
+    if width and not table[height][spec.start]:
+        return
+
+    def rec(r, col_states, acc):
+        if r == height:
+            yield tuple(acc)
+            return
+        reach = table[height - r - 1]
+        for word in row_words[r]:
+            nxt = []
+            for j, sym in enumerate(word):
+                state = trans[col_states[j]].get(sym)
+                if state is None or not reach[state]:
+                    break
+                nxt.append(state)
+            else:
+                acc.append(word)
+                yield from rec(r + 1, nxt, acc)
+                acc.pop()
+
+    yield from rec(0, [spec.start] * width, [])
+
+
 def generate(machine, length: int):
-    """All accepted words of the given length, lexicographic (-1 < 0 < 1)."""
+    """All accepted words of the given length, lexicographic (-1 < 0 < 1):
+    the one-column case of ``backtrack``."""
     if length < 0:
         raise InvalidInputError("length must be non-negative")
-    spec = _spec(machine)
-    trans, start, accept = dfa(machine)
-    table = reach_table(machine, length)
-
-    def rec(state, consumed, prefix):
-        if consumed == length:
-            if state in accept:
-                yield tuple(prefix)
-            return
-        remaining = length - consumed
-        for sym in (-1, 0, 1):
-            nxt = trans[state].get(sym)
-            if nxt is None:
-                continue
-            if _s1_blocks(spec.machine_id, nxt, consumed + 1):
-                continue
-            if not table[remaining - 1][nxt]:
-                continue
-            prefix.append(sym)
-            yield from rec(nxt, consumed + 1, prefix)
-            prefix.pop()
-
-    yield from rec(start, 0, [])
+    for rows in backtrack(machine, 1, [((-1,), (0,), (1,))] * length):
+        yield tuple(chain.from_iterable(rows))

@@ -18,21 +18,20 @@ from collections import Counter
 from enum import Enum
 
 from . import machines
-from .core import SignMatrix, TriangularArray, validate_dmt, validate_monotone
+from .core import (
+    SignMatrix,
+    TriangularArray,
+    _dmt_bottom,
+    _mt_bottom,
+    validate_dmt,
+    validate_monotone,
+)
 from .errors import AmbiguityError, InternalError, InvalidInputError
 
 
 class BijectionKind(Enum):
     MT_ASM = "mt-asm"
     DMT_2ASM = "dmt-2asm"
-
-
-def _mt_bottom(n):
-    return tuple(range(1, n + 1))
-
-
-def _dmt_bottom(n):
-    return tuple(v for x in range(n, 0, -1) for v in (x, x))
 
 
 def _kind_params(t: TriangularArray, kind: BijectionKind):

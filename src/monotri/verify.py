@@ -13,7 +13,7 @@ import time
 from itertools import product
 
 from . import enumeration, exactla, transform
-from .core import SignMatrix, TriangularArray, has_triple, triangle_stats
+from .core import SignMatrix, TriangularArray, _dmt_bottom, _mt_bottom, has_triple, triangle_stats
 from .enumeration import TriangleClass, WniObject
 from .errors import InvalidInputError
 from .evaluate import AlphaMethod, W_number, X_number, alpha, binomial, refined_asm, sum_operator
@@ -59,16 +59,8 @@ W43_SAMPLE = (
 TABLE_VALUES = {3: -1, 5: 3, 7: -26, 9: 646, 11: -45885, 13: 9304650}
 
 
-def _mt_bottom(n):
-    return tuple(range(1, n + 1))
-
-
-def _dmt_bottom(n):
-    return tuple(v for x in range(n, 0, -1) for v in (x, x))
-
-
 def _w_row(n, i):
-    return (n - 1 + i,) + tuple(v for x in range(n - 1, 0, -1) for v in (x, x))
+    return (n - 1 + i,) + _dmt_bottom(n - 1)
 
 
 def _asm_total(n):

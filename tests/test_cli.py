@@ -196,6 +196,9 @@ def test_python_m_runs_cli():
 
 @pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
 def test_bad_cache_limit_rejected(value):
-    out = python_m_monotri("alpha", "--row", "1,2", MONOTRI_CACHE_LIMIT=value)
-    assert out.returncode != 0 and out.stdout == ""
-    assert "InvalidInputError" in out.stderr and "MONOTRI_CACHE_LIMIT" in out.stderr
+    # det never touches the memo table; the CLI still rejects the setting
+    for argv in (("alpha", "--row", "1,2"), ("det", "--kind", "behrend", "--n", "2")):
+        out = python_m_monotri(*argv, MONOTRI_CACHE_LIMIT=value)
+        assert out.returncode == 2 and out.stdout == "", argv
+        assert out.stderr.startswith("error: MONOTRI_CACHE_LIMIT"), out.stderr
+        assert "Traceback" not in out.stderr

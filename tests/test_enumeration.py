@@ -240,3 +240,16 @@ def test_enum_matrices_errors():
         list(enum_matrices("asm", 0))
     with pytest.raises(InvalidInputError):
         list(enum_matrices("magic", 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enum_triangles((1, 1), TriangleClass.MT),
+    lambda: enum_triangles((), TriangleClass.DMT),
+    lambda: enum_matrices("asm", 0),
+    lambda: enum_matrices("magic", 2),
+    lambda: enum_wni_objects(2, 4),
+], ids=["mt-row", "empty-row", "asm-size", "kind", "wni-index"])
+def test_enum_rejects_bad_arguments_at_the_call(call):
+    # the stream is never pulled
+    with pytest.raises(InvalidInputError):
+        call()

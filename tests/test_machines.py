@@ -77,11 +77,28 @@ def _two_asm_prose(w):
     return total == 2
 
 
+def _modified_row_prose(w):
+    # partial sums stay in {0,1}, nonzero symbols alternate starting with 1,
+    # and the total is 0
+    sums = [sum(w[: i + 1]) for i in range(len(w))]
+    nonzero = [x for x in w if x != 0]
+    return (all(s in (0, 1) for s in sums)
+            and all(x == (1 if j % 2 == 0 else -1) for j, x in enumerate(nonzero))
+            and sum(w) == 0)
+
+
+def _s1_column_prose(w):
+    # a 2-ASM column whose every even-length prefix sums to 0 or 2
+    return _two_asm_prose(w) and all(sum(w[:i]) in (0, 2) for i in range(2, len(w) + 1, 2))
+
+
 @pytest.mark.parametrize("length", range(0, 9))
 def test_prose_equivalence_exhaustive(length):
     for w in product((-1, 0, 1), repeat=length):
         assert accepts(ASM_WORD, w) == _asm_word_prose(w), w
         assert accepts(TWO_ASM_COLUMN, w) == _two_asm_prose(w), w
+        assert accepts(MODIFIED_ROW, w) == _modified_row_prose(w), w
+        assert accepts(S1_COLUMN, w) == _s1_column_prose(w), w
 
 
 def test_parse_steps_goldens():
@@ -125,10 +142,15 @@ def test_generate_against_filter_oracle(machine, length):
 
 def test_single_symbol_view_rejects_clashing_middle_states():
     # both split at partial sum 1, where a 1 must lead to 2 for (1,1) but to 0 for (-1,1)
-    spec = MachineSpec("clash", frozenset({0, 2}), 0, frozenset({2}),
-                       (_t(0, (1, 1), 2), _t(2, (-1, 1), 0)))
-    with pytest.raises(InternalError):
-        _single_symbol_dfa(spec)
+    clash = MachineSpec("clash", frozenset({0, 2}), 0, frozenset({2}),
+                        (_t(0, (1, 1), 2), _t(2, (-1, 1), 0)))
+    # (1,1) splits at partial sum 1, a rest state, so a walk cut at the rest
+    # states would read it as two steps
+    rest_middle = MachineSpec("rest-middle", frozenset({0, 1, 2}), 0, frozenset({2}),
+                              (_t(0, (1, 1), 2), _t(1, (0,), 1)))
+    for spec in (clash, rest_middle):
+        with pytest.raises(InternalError):
+            _single_symbol_dfa(spec)
 
 
 def test_s1_column_restricts_two_asm():
