@@ -1,14 +1,19 @@
 """Exhaustive streams and memoized signed counting of monotone triangles,
 decreasing monotone triangles, ASMs, 2-ASMs and W-objects.
 
-Streams are deterministic: predecessor rows come out in lexicographically
-decreasing order, matrices in row-major lexicographic order with
--1 < 0 < 1.  The ``enum_*`` functions check their arguments when called
-and return the stream; matrices come from ``machines.backtrack`` over the
-row words of ``machines.generate``.  Counting never materializes
-triangles; it runs a DP over distinct rows, memoised up to translation,
-whose transition weights carry the signs.  ``evaluate.alpha`` runs the
-same DP.
+Triangles rest on one kernel, ``_rows_above``: the rows directly above a
+checked bottom row with their sign contribution, in lexicographically
+decreasing order, grown as a list of prefixes one position at a time.  A
+DMT prefix carries the length of its last run and its sign count so far,
+so the multiplicity and singleton rules and ``pairs + newcomers`` are
+settled as the row grows.  ``predecessors`` checks its row and streams the
+kernel's list; ``enum_triangles`` stacks rows from it; counting runs a DP
+over distinct rows, memoised up to translation, whose transition weights
+carry the signs (``evaluate.alpha`` runs the same DP).  Rows reached from a
+checked row are valid by construction and never re-checked.  The ``enum_*``
+functions check their arguments when called and return the stream;
+matrices come from ``machines.backtrack`` over the row words of
+``machines.generate``, in row-major lexicographic order with -1 < 0 < 1.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .core import (
     has_triple,
     is_strictly_increasing,
     is_weakly_decreasing,
-    transition_stats,
     validate_dmt,
     validate_monotone,
 )
@@ -59,64 +63,49 @@ def predecessors(k, cls: TriangleClass):
     MT rows interlace strictly (sign contribution 0).  DMT rows interlace
     the other way round, keep every value at most twice, share no singleton
     value with ``k``, and contribute ``pairs + newcomers`` sign changes.
+    The row is checked at the call; the stream is a generator.
     """
     k = _check_bottom(k, cls)
     if len(k) < 2:
         raise InvalidInputError("bottom row must have at least two entries")
+    return (above for above in _rows_above(k, cls))
+
+
+def _rows_above(k, cls):
+    """The ``(row, sc)`` list of ``predecessors`` for a checked bottom row
+    of length at least two; each prefix is extended by its admissible
+    values in decreasing order."""
+    m = len(k) - 1
     if cls is TriangleClass.MT:
-        yield from _mt_predecessors(k)
-    else:
-        yield from _dmt_predecessors(k)
-
-
-def _mt_predecessors(k):
-    m = len(k) - 1
-
-    def rec(j, prefix):
-        if j == m:
-            yield tuple(prefix)
-            return
-        lo = k[j] if j == 0 else max(k[j], prefix[-1] + 1)
-        for v in range(k[j + 1], lo - 1, -1):
-            prefix.append(v)
-            yield from rec(j + 1, prefix)
-            prefix.pop()
-
-    for row in rec(0, []):
-        yield row, 0
-
-
-def _dmt_predecessors(k):
-    m = len(k) - 1
-    k_counts = Counter(k)
-
-    def rec(j, prefix, counts):
-        if j == m:
-            row = tuple(prefix)
-            rc = Counter(row)
-            if any(rc[v] == 1 and k_counts[v] == 1 for v in rc):
-                return
-            yield row
-            return
-        for v in range(k[j], k[j + 1] - 1, -1):
-            if counts[v] == 2:
-                continue
-            counts[v] += 1
-            prefix.append(v)
-            yield from rec(j + 1, prefix, counts)
-            prefix.pop()
-            counts[v] -= 1
-
-    for row in rec(0, [], Counter()):
-        pairs, newcomers = transition_stats(k, row)
-        yield row, pairs + newcomers
+        rows = [(v,) for v in range(k[1], k[0] - 1, -1)]
+        for j in range(1, m):
+            lo, hi = k[j], k[j + 1]
+            rows = [row + (v,) for row in rows
+                    for v in range(hi, (lo + 1 if row[-1] == lo else lo) - 1, -1)]
+        return [(row, 0) for row in rows]
+    singles = {v for v, c in Counter(k).items() if c == 1}
+    # (prefix, length of its last run, sc so far); a run may close unless
+    # it is a singleton of k at length one
+    states = [((v,), 1, int(k[0] > v > k[1])) for v in range(k[0], k[1] - 1, -1)]
+    for j in range(1, m):
+        hi, lo = k[j], k[j + 1]
+        grown = []
+        for row, run, sc in states:
+            last = row[-1]
+            if last == hi and run == 1:
+                grown.append((row + (hi,), 2, sc + 1))
+            if run == 2 or last not in singles:
+                top = hi - 1 if last == hi else hi
+                grown += [(row + (v,), 1, sc + (hi > v > lo)) for v in range(top, lo - 1, -1)]
+        states = grown
+    return [(row, sc) for row, run, sc in states if run == 2 or row[-1] not in singles]
 
 
 def _towers(bottom, cls):
     if len(bottom) == 1:
         yield (bottom,)
         return
-    for row, _ in predecessors(bottom, cls):
+    for row, _ in _rows_above(bottom, cls):
         for tower in _towers(row, cls):
             yield tower + (bottom,)
 
@@ -146,15 +135,17 @@ def _count(kernel, row, cls):
     if cached is not None:
         return cached
     value = 0
-    below_pairs = _pair_values(row)
-    for above, sc in predecessors(row, cls):
-        if kernel == "plain":
-            w = 1
-        elif kernel == "sc":
-            w = -1 if sc % 2 else 1
-        else:  # pair coincidence weight, shared by dd and dd_bar
+    if kernel == "plain":
+        for above, _ in _rows_above(row, cls):
+            value += _count(kernel, above, cls)
+    elif kernel == "sc":
+        for above, sc in _rows_above(row, cls):
+            value += -_count(kernel, above, cls) if sc % 2 else _count(kernel, above, cls)
+    else:  # pair coincidence weight, shared by dd and dd_bar
+        below_pairs = _pair_values(row)
+        for above, _ in _rows_above(row, cls):
             w = -1 if len(_pair_values(above) & below_pairs) % 2 else 1
-        value += w * _count(kernel, above, cls)
+            value += w * _count(kernel, above, cls)
     cache_put(key, value)
     return value
 

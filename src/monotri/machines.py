@@ -100,7 +100,10 @@ class StepTrace:
 
 
 def _spec(machine) -> MachineSpec:
+    # the derived tables (_DFAS, _ALLOWED, _STEPS) hold registered machines only
     if isinstance(machine, MachineSpec):
+        if MACHINES.get(machine.machine_id) != machine:
+            raise InvalidInputError(f"machine {machine.machine_id!r} is not a registered machine")
         return machine
     try:
         return MACHINES[machine]

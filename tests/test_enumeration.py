@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -15,6 +16,7 @@ from monotri import (
     predecessors,
     signed_count,
     sum_operator,
+    transition_stats,
     triangle_stats,
     validate_dmt,
     validate_monotone,
@@ -63,6 +65,40 @@ def test_predecessors_errors():
         list(predecessors((2, 2, 2), TriangleClass.DMT))
     with pytest.raises(InvalidInputError):
         list(predecessors((5,), TriangleClass.DMT))
+
+
+def brute_predecessors(k, cls):
+    """Every row in the interlacing intervals, in lexicographically
+    decreasing order, kept if it obeys the row rules of the class; oracle
+    for ``predecessors``."""
+    m = len(k) - 1
+    if cls is TriangleClass.MT:
+        intervals = [range(k[j + 1], k[j] - 1, -1) for j in range(m)]
+    else:
+        intervals = [range(k[j], k[j + 1] - 1, -1) for j in range(m)]
+    for row in product(*intervals):
+        if cls is TriangleClass.MT:
+            if all(a < b for a, b in zip(row, row[1:])):
+                yield row, 0
+        elif (all(a >= b for a, b in zip(row, row[1:]))
+              and all(row.count(v) <= 2 for v in row)
+              and not any(row.count(v) == 1 == k.count(v) for v in row)):
+            yield row, sum(transition_stats(k, row))
+
+
+def _random_bottom(rng, cls):
+    if cls is TriangleClass.MT:
+        return tuple(sorted(rng.sample(range(-6, 8), rng.randint(2, 7))))
+    pool = [v for v in range(-4, 6) for _ in (0, 1)]
+    return tuple(sorted(rng.sample(pool, rng.randint(2, 8)), reverse=True))
+
+
+@pytest.mark.parametrize("cls", list(TriangleClass))
+def test_predecessors_against_brute_force(cls):
+    rng = random.Random(20111)
+    for _ in range(300):
+        k = _random_bottom(rng, cls)
+        assert list(predecessors(k, cls)) == list(brute_predecessors(k, cls)), k
 
 
 def test_predecessor_sum_matches_operator():
@@ -248,7 +284,11 @@ def test_enum_matrices_errors():
     lambda: enum_matrices("asm", 0),
     lambda: enum_matrices("magic", 2),
     lambda: enum_wni_objects(2, 4),
-], ids=["mt-row", "empty-row", "asm-size", "kind", "wni-index"])
+    lambda: predecessors((2, 1), TriangleClass.MT),
+    lambda: predecessors((2, 2, 2), TriangleClass.DMT),
+    lambda: predecessors((5,), TriangleClass.DMT),
+], ids=["mt-row", "empty-row", "asm-size", "kind", "wni-index",
+        "predecessors-mt-row", "predecessors-triple", "predecessors-short"])
 def test_enum_rejects_bad_arguments_at_the_call(call):
     # the stream is never pulled
     with pytest.raises(InvalidInputError):

@@ -279,10 +279,22 @@ def test_staircase_values():
         assert alpha(tuple(range(n, 0, -1))) == 0
 
 
-@pytest.mark.long
 def test_staircase_values_long():
     assert alpha(tuple(range(11, 0, -1))) == STAIRCASE_TABLE[11]
     assert alpha(tuple(range(13, 0, -1))) == STAIRCASE_TABLE[13]
+
+
+def test_dp_state_counts():
+    # pins the DP's state space: one memo entry per distinct row up to translation
+    from monotri import _util
+
+    try:
+        for row, states in ((tuple(range(11, 0, -1)), 2460), ((0, 3, 5, 8, 10, 13), 592)):
+            _util.clear_caches()
+            alpha(row)
+            assert len(_util.MEMO) == states, row
+    finally:
+        _util.clear_caches()
 
 
 def test_cache_limit_keeps_results_correct():

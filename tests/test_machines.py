@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import product
 
 import pytest
@@ -13,11 +14,14 @@ from monotri import (
 )
 from monotri.machines import (
     ASM_WORD,
+    MACHINES,
     MODIFIED_ROW,
     S1_COLUMN,
     TWO_ASM_COLUMN,
     _single_symbol_dfa,
     _t,
+    backtrack,
+    reach_table,
     replay,
 )
 
@@ -151,6 +155,22 @@ def test_single_symbol_view_rejects_clashing_middle_states():
     for spec in (clash, rest_middle):
         with pytest.raises(InternalError):
             _single_symbol_dfa(spec)
+
+
+@pytest.mark.parametrize("change", [
+    {"machine_id": "copy"},
+    {"accept": frozenset({0})},
+], ids=["unknown-id", "changed-spec"])
+def test_unregistered_spec_rejected(change):
+    # the runners' derived tables exist for the registered machines only
+    spec = dataclasses.replace(MACHINES[ASM_WORD], **change)
+    for call in (lambda: accepts(spec, (1,)),
+                 lambda: parse_steps(spec, (1,)),
+                 lambda: list(generate(spec, 2)),
+                 lambda: reach_table(spec, 2),
+                 lambda: list(backtrack(spec, 1, [((1,),)]))):
+        with pytest.raises(InvalidInputError, match=repr(spec.machine_id)):
+            call()
 
 
 def test_s1_column_restricts_two_asm():
