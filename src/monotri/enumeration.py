@@ -1,19 +1,18 @@
 """Exhaustive streams and memoized signed counting of monotone triangles,
 decreasing monotone triangles, ASMs, 2-ASMs and W-objects.
 
-Triangles rest on one kernel, ``_rows_above``: the rows directly above a
-checked bottom row with their sign contribution, in lexicographically
-decreasing order, grown as a list of prefixes one position at a time.  A
-DMT prefix carries the length of its last run and its sign count so far,
-so the multiplicity and singleton rules and ``pairs + newcomers`` are
-settled as the row grows.  ``predecessors`` checks its row and streams the
-kernel's list; ``enum_triangles`` stacks rows from it; counting runs a DP
-over distinct rows, memoised up to translation, whose transition weights
-carry the signs (``evaluate.alpha`` runs the same DP).  Rows reached from a
-checked row are valid by construction and never re-checked.  The ``enum_*``
-functions check their arguments when called and return the stream;
-matrices come from ``machines.backtrack`` over the row words of
-``machines.generate``, in row-major lexicographic order with -1 < 0 < 1.
+Triangles rest on one kernel, ``_rows_above``: a depth-first stream, over
+an explicit stack of prefixes, of the rows directly above a bottom row with
+their sign contribution, in lexicographically decreasing order.  A DMT
+prefix carries its run length and sign count, so the multiplicity and
+singleton rules and ``pairs + newcomers`` are settled as the row grows.
+``predecessors`` checks its row and returns that stream; ``enum_triangles``
+stacks rows from it, and counting runs a DP over distinct rows through it,
+memoised up to translation, whose transition weights carry the signs
+(``evaluate.alpha`` runs the same DP).  The ``enum_*`` functions check
+their arguments when called and return the stream; matrices come from
+``machines.backtrack`` over the row words of ``machines.generate``, in
+row-major lexicographic order with -1 < 0 < 1.
 """
 
 from __future__ import annotations
@@ -63,49 +62,56 @@ def predecessors(k, cls: TriangleClass):
     MT rows interlace strictly (sign contribution 0).  DMT rows interlace
     the other way round, keep every value at most twice, share no singleton
     value with ``k``, and contribute ``pairs + newcomers`` sign changes.
-    The row is checked at the call; the stream is a generator.
     """
     k = _check_bottom(k, cls)
     if len(k) < 2:
         raise InvalidInputError("bottom row must have at least two entries")
-    return (above for above in _rows_above(k, cls))
+    return _rows_above(k, cls)
 
 
 def _rows_above(k, cls):
-    """The ``(row, sc)`` list of ``predecessors`` for a checked bottom row
-    of length at least two; each prefix is extended by its admissible
-    values in decreasing order."""
+    """Depth-first stream of ``predecessors``: prefixes wait on a stack,
+    pushed smallest first; the rows completing one prefix go out together."""
     m = len(k) - 1
     if cls is TriangleClass.MT:
-        rows = [(v,) for v in range(k[1], k[0] - 1, -1)]
-        for j in range(1, m):
-            lo, hi = k[j], k[j + 1]
-            rows = [row + (v,) for row in rows
-                    for v in range(hi, (lo + 1 if row[-1] == lo else lo) - 1, -1)]
-        return [(row, 0) for row in rows]
+        stack = [((), k[0] - 1)]  # (prefix, its last value)
+        while stack:
+            row, last = stack.pop()
+            j = len(row)
+            lo = k[j] + (last == k[j])
+            if j < m - 1:
+                stack += [(row + (v,), v) for v in range(lo, k[j + 1] + 1)]
+            else:
+                yield from [(row + (v,), 0) for v in range(k[m], lo - 1, -1)]
+        return
     singles = {v for v, c in Counter(k).items() if c == 1}
-    # (prefix, length of its last run, sc so far); a run may close unless
-    # it is a singleton of k at length one
-    states = [((v,), 1, int(k[0] > v > k[1])) for v in range(k[0], k[1] - 1, -1)]
-    for j in range(1, m):
+    # (prefix, last value, last run length, sc so far), from the empty prefix;
+    # a run may close unless it is a singleton of k at length one
+    stack = [((), None, 2, 0)]
+    while stack:
+        row, last, run, sc = stack.pop()
+        j = len(row)
         hi, lo = k[j], k[j + 1]
-        grown = []
-        for row, run, sc in states:
-            last = row[-1]
+        top = hi - (last == hi)
+        closable = run == 2 or last not in singles
+        if j < m - 1:
+            if closable:
+                stack += [(row + (v,), v, 1, sc + (hi > v > lo)) for v in range(lo, top + 1)]
             if last == hi and run == 1:
-                grown.append((row + (hi,), 2, sc + 1))
-            if run == 2 or last not in singles:
-                top = hi - 1 if last == hi else hi
-                grown += [(row + (v,), 1, sc + (hi > v > lo)) for v in range(top, lo - 1, -1)]
-        states = grown
-    return [(row, sc) for row, run, sc in states if run == 2 or row[-1] not in singles]
+                stack.append((row + (hi,), hi, 2, sc + 1))
+            continue
+        if last == hi and run == 1:
+            yield row + (hi,), sc + 1
+        if closable:
+            yield from [(row + (v,), sc + (hi > v > lo))
+                        for v in range(top, lo - 1, -1) if v not in singles]
 
 
 def _towers(bottom, cls):
     if len(bottom) == 1:
         yield (bottom,)
         return
-    for row, _ in _rows_above(bottom, cls):
+    for row, _ in predecessors(bottom, cls):
         for tower in _towers(row, cls):
             yield tower + (bottom,)
 
@@ -136,14 +142,14 @@ def _count(kernel, row, cls):
         return cached
     value = 0
     if kernel == "plain":
-        for above, _ in _rows_above(row, cls):
+        for above, _ in predecessors(row, cls):
             value += _count(kernel, above, cls)
     elif kernel == "sc":
-        for above, sc in _rows_above(row, cls):
+        for above, sc in predecessors(row, cls):
             value += -_count(kernel, above, cls) if sc % 2 else _count(kernel, above, cls)
     else:  # pair coincidence weight, shared by dd and dd_bar
         below_pairs = _pair_values(row)
-        for above, _ in _rows_above(row, cls):
+        for above, _ in predecessors(row, cls):
             w = -1 if len(_pair_values(above) & below_pairs) % 2 else 1
             value += w * _count(kernel, above, cls)
     cache_put(key, value)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -99,6 +100,23 @@ def test_predecessors_against_brute_force(cls):
     for _ in range(300):
         k = _random_bottom(rng, cls)
         assert list(predecessors(k, cls)) == list(brute_predecessors(k, cls)), k
+
+
+@pytest.mark.parametrize("cls, bottom", [
+    (TriangleClass.MT, (0, 10, 20, 30, 40)),
+    (TriangleClass.DMT, (40, 40, 30, 20, 20, 10, 0, 0)),
+], ids=["MT", "DMT"])
+def test_streams_are_lazy(cls, bottom):
+    # about 10^4 rows lie directly above each bottom row (over 1 MB as a
+    # list); the first row and the first triangle come without building them
+    tracemalloc.start()
+    try:
+        next(predecessors(bottom, cls))
+        next(enum_triangles(bottom, cls))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
 
 
 def test_predecessor_sum_matches_operator():

@@ -273,15 +273,10 @@ def test_alpha_rotation():
 
 
 def test_staircase_values():
-    for n in (3, 5, 7, 9):
+    for n in (3, 5, 7, 9, 11, 13):
         assert alpha(tuple(range(n, 0, -1))) == STAIRCASE_TABLE[n]
     for n in (4, 6):
         assert alpha(tuple(range(n, 0, -1))) == 0
-
-
-def test_staircase_values_long():
-    assert alpha(tuple(range(11, 0, -1))) == STAIRCASE_TABLE[11]
-    assert alpha(tuple(range(13, 0, -1))) == STAIRCASE_TABLE[13]
 
 
 def test_dp_state_counts():
