@@ -7,6 +7,7 @@ Verified, 1 failed verification, 2 invalid input, 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -76,16 +77,7 @@ def _cmd_enum(args) -> int:
 def _cmd_stats(args) -> int:
     with open(args.input, "rb") as fh:
         t = deserialize(fh.read(), "triangle")
-    st = triangle_stats(t)
-    print(json.dumps({
-        "pairs_per_row": list(st.pairs_per_row),
-        "newcomers": st.newcomers,
-        "peaks": st.peaks,
-        "base_pairs": st.base_pairs,
-        "dd": st.dd,
-        "dd_bar": st.dd_bar,
-        "sc": st.sc,
-    }))
+    print(json.dumps(dataclasses.asdict(triangle_stats(t))))
     return EXIT_OK
 
 
@@ -192,7 +184,7 @@ def run_cli(argv) -> int:
         # a bad MONOTRI_CACHE_LIMIT is an input error of every subcommand
         cache_limit()
         return args.fn(args)
-    except (InvalidInputError, ParseError, FileNotFoundError) as e:
+    except (InvalidInputError, ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except ResourceLimitError as e:

@@ -79,7 +79,9 @@ class SignMatrix:
 
 
 class RowSeqClass(Enum):
-    """Shape class of a bottom-row candidate; drives evaluation dispatch."""
+    """Shape class of a bottom-row candidate, as ``classify_row_sequence``
+    reports it.  ``alpha`` does not consult it: its automatic dispatch calls
+    the shape predicates below directly."""
 
     STRICTLY_INCREASING = "strictly-increasing"
     WEAKLY_DECREASING_MULT2 = "weakly-decreasing-mult2"
@@ -147,6 +149,19 @@ def validate_monotone(t: TriangularArray) -> bool:
     return True
 
 
+def _dmt_counts(rows) -> list[Counter]:
+    """Per-row value counts of a triangle whose diagonals weakly decrease and
+    whose rows hold no value more than twice; InvalidInputError otherwise."""
+    for upper, lower in zip(rows, rows[1:]):
+        for j, x in enumerate(upper):
+            if not (lower[j] >= x >= lower[j + 1]):
+                raise InvalidInputError("diagonal condition violated")
+    counts = [Counter(row) for row in rows]
+    if any(c > 2 for cnt in counts for c in cnt.values()):
+        raise InvalidInputError("an entry occurs more than twice in a row")
+    return counts
+
+
 def validate_dmt(t: TriangularArray) -> bool:
     """True iff the triangle is a decreasing monotone triangle.
 
@@ -154,17 +169,12 @@ def validate_dmt(t: TriangularArray) -> bool:
     at most two, and the no-single-descendant condition (no value occurring
     exactly once in each of two consecutive rows).
     """
-    rows = t.rows
-    for upper, lower in zip(rows, rows[1:]):
-        for j, x in enumerate(upper):
-            if not (lower[j] >= x >= lower[j + 1]):
-                return False
-    for row in rows:
-        if any(c > 2 for c in Counter(row).values()):
-            return False
-    for upper, lower in zip(rows, rows[1:]):
-        cu, cl = Counter(upper), Counter(lower)
-        if any(cu[v] == 1 and cl[v] == 1 for v in cu):
+    try:
+        counts = _dmt_counts(t.rows)
+    except InvalidInputError:
+        return False
+    for cu, cl in zip(counts, counts[1:]):
+        if any(c == 1 and cl[v] == 1 for v, c in cu.items()):
             return False
     return True
 
@@ -179,13 +189,7 @@ def condition3_equivalent(t: TriangularArray) -> bool:
     multiplicity conditions.
     """
     rows = t.rows
-    for upper, lower in zip(rows, rows[1:]):
-        for j, x in enumerate(upper):
-            if not (lower[j] >= x >= lower[j + 1]):
-                raise InvalidInputError("diagonal condition violated")
-    for row in rows:
-        if any(c > 2 for c in Counter(row).values()):
-            raise InvalidInputError("an entry occurs more than twice in a row")
+    _dmt_counts(rows)
     for upper, lower in zip(rows, rows[1:]):
         for j, x in enumerate(upper):
             sw, se = lower[j], lower[j + 1]
@@ -231,22 +235,24 @@ def triangle_stats(t: TriangularArray) -> StatRecord:
     if not validate_dmt(t):
         raise InvalidInputError("not a decreasing monotone triangle")
     rows = t.rows
-    n = len(rows)
+    counts = [Counter(row) for row in rows]
     pairs_per_row = tuple(sum(1 for a, b in zip(row, row[1:]) if a == b) for row in rows)
     newcomers = 0
     sc = 0
     dd_bar = 0
     peaks = 0
     base_pairs = pairs_per_row[-1]
-    for i in range(n - 1):
-        upper, lower = rows[i], rows[i + 1]
-        p, nc = transition_stats(lower, upper)
+    for i in range(len(rows) - 1):
+        p, nc = transition_stats(rows[i + 1], rows[i])
         sc += p + nc
         newcomers += nc
-        cu, cl = Counter(upper), Counter(lower)
-        dd_bar += sum(1 for v in _pair_values(upper) if cl[v] == 2)
-        peaks += sum(1 for v in cu if cu[v] == 1 and cl[v] == 2)
-        base_pairs += sum(1 for v in _pair_values(upper) if cl[v] == 1)
+        below = counts[i + 1]
+        for v, c in counts[i].items():
+            if c == 2:
+                dd_bar += below[v] == 2
+                base_pairs += below[v] == 1
+            elif below[v] == 2:
+                peaks += 1
     dd = dd_bar + pairs_per_row[-1]
     return StatRecord(
         pairs_per_row=pairs_per_row,

@@ -1,12 +1,11 @@
-"""Exact integer/rational linear algebra: fraction-free determinants,
-rank over the rationals, and builders for the fixed matrices of the
+"""Exact integer linear algebra: determinant and rank from one fraction-free
+(Bareiss) elimination, and builders for the fixed matrices of the
 eigenvector argument (the eigen-system matrix, its shifted form S and the
 trimmed S', and the descending-plane-partition determinant matrix)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidInputError
 from .evaluate import binomial
@@ -74,28 +73,24 @@ def build_matrix(kind: str, n: int) -> ExactMatrix:
     return ExactMatrix(trimmed)
 
 
-def det_exact(m: ExactMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination with full
-    pivot search; the 0 x 0 determinant is 1."""
-    if m.rows != m.cols:
-        raise InvalidInputError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.entries]
+def _bareiss(entries) -> tuple[int, int]:
+    """Fraction-free (Bareiss 1968) elimination with full pivot search.
+
+    Returns the rank (the number of nonzero pivots) and the last pivot times
+    the sign of the row and column swaps, or 0 if fewer than min(rows, cols)
+    pivots are nonzero: for a square matrix, its determinant.
+    """
+    a = [list(row) for row in entries]
+    rows, cols = len(a), len(a[0]) if a else 0
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        pr = pc = -1
-        for i in range(k, n):
-            for j in range(k, n):
-                if a[i][j] != 0:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
-            return 0
+    for k in range(min(rows, cols)):
+        pivot = next(
+            ((i, j) for i in range(k, rows) for j in range(k, cols) if a[i][j] != 0), None
+        )
+        if pivot is None:
+            return k, 0
+        pr, pc = pivot
         if pr != k:
             a[k], a[pr] = a[pr], a[k]
             sign = -sign
@@ -103,37 +98,26 @@ def det_exact(m: ExactMatrix) -> int:
             for row in a:
                 row[k], row[pc] = row[pc], row[k]
             sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+        p = a[k][k]
+        for i in range(k + 1, rows):
+            for j in range(k + 1, cols):
+                a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
+        prev = p
+    return min(rows, cols), sign * prev
+
+
+def det_exact(m: ExactMatrix) -> int:
+    """Exact determinant by fraction-free elimination; the 0 x 0 determinant
+    is 1."""
+    if m.rows != m.cols:
+        raise InvalidInputError("determinant needs a square matrix")
+    return _bareiss(m.entries)[1]
 
 
 def rank_exact(m: ExactMatrix) -> int:
-    """Exact rank over the rationals by Gaussian elimination."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    a = [[Fraction(x) for x in row] for row in m.entries]
-    rows, cols = m.rows, m.cols
-    rank = 0
-    for c in range(cols):
-        pivot_row = next((r for r in range(rank, rows) if a[r][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = a[rank][c]
-        for r in range(rank + 1, rows):
-            if a[r][c] != 0:
-                factor = a[r][c] / inv
-                for j in range(c, cols):
-                    a[r][j] -= factor * a[rank][j]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Exact rank over the rationals: the number of nonzero pivots of the
+    same fraction-free elimination."""
+    return _bareiss(m.entries)[0]
 
 
 def identity_matrix(n: int) -> ExactMatrix:

@@ -106,34 +106,22 @@ def _parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
 
 
-def _triangle_from_obj(obj):
-    rows = obj.get("rows")
+def _rows_from_obj(obj, key, cls):
+    """``cls`` built from the list of integer rows under ``obj[key]``."""
+    rows = obj.get(key)
     if not isinstance(rows, list):
-        raise ParseError("missing 'rows' list")
+        raise ParseError(f"missing {key!r} list")
     parsed = []
     for i, row in enumerate(rows):
         if not isinstance(row, list):
-            raise ParseError(f"rows[{i}] is not a list")
-        parsed.append(tuple(_as_int(x, f"rows[{i}][{j}]") for j, x in enumerate(row)))
+            raise ParseError(f"{key}[{i}] is not a list")
+        parsed.append(tuple(_as_int(x, f"{key}[{i}][{j}]") for j, x in enumerate(row)))
     try:
-        return TriangularArray(tuple(parsed))
-    except InvalidInputError as e:
-        raise ParseError(str(e)) from None
-
-
-def _matrix_from_obj(obj):
-    entries = obj.get("entries")
-    if not isinstance(entries, list):
-        raise ParseError("missing 'entries' list")
-    parsed = []
-    for i, row in enumerate(entries):
-        if not isinstance(row, list):
-            raise ParseError(f"entries[{i}] is not a list")
-        parsed.append(tuple(_as_int(x, f"entries[{i}][{j}]") for j, x in enumerate(row)))
-    try:
-        return SignMatrix(tuple(parsed))
+        return cls(tuple(parsed))
     except InvalidInputError as e:
         raise ParseError(str(e)) from None
 
@@ -152,7 +140,7 @@ def _report_from_obj(obj):
             elapsed_ms=float(obj["elapsed_ms"]),
             reason=obj.get("reason"),
         )
-    except (KeyError, IndexError, TypeError) as e:
+    except (KeyError, IndexError, TypeError, ValueError) as e:
         raise ParseError(f"malformed report object: {e}") from None
 
 
@@ -184,7 +172,10 @@ def deserialize(data, kind: str):
     """
     if kind not in KINDS:
         raise InvalidInputError(f"unknown kind {kind!r}")
-    text = data.decode() if isinstance(data, (bytes, bytearray)) else str(data)
+    try:
+        text = data.decode() if isinstance(data, (bytes, bytearray)) else str(data)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"input is not UTF-8: {e}") from None
     stripped = text.strip()
     if not stripped.startswith("{"):
         if kind == "matrix":
@@ -195,7 +186,7 @@ def deserialize(data, kind: str):
     if tag != kind:
         raise ParseError(f"expected type {kind!r}, found {tag!r}")
     if kind == "triangle":
-        return _triangle_from_obj(obj)
+        return _rows_from_obj(obj, "rows", TriangularArray)
     if kind == "matrix":
-        return _matrix_from_obj(obj)
+        return _rows_from_obj(obj, "entries", SignMatrix)
     return _report_from_obj(obj)

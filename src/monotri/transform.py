@@ -10,10 +10,15 @@ The structured subset S1 (every even row consists entirely of pairs) maps
 onto monotone triangles by collapsing each pair of an even row to a single
 entry and reversing the row; the odd rows of an S1 triangle are forced and
 are reconstructed here by interval collapse from the two adjacent even rows.
+
+Every triangle argument is checked once, by ``_kind_params``: a valid
+triangle of the given kind on its standard bottom row, (1..n) or
+(n, n, ..., 1, 1).  The S1 functions use the DMT kind of that check.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from enum import Enum
 
@@ -34,7 +39,8 @@ class BijectionKind(Enum):
     DMT_2ASM = "dmt-2asm"
 
 
-def _kind_params(t: TriangularArray, kind: BijectionKind):
+def _kind_params(t: TriangularArray, kind: BijectionKind) -> int:
+    """``n`` of a valid triangle of this kind on its standard bottom row."""
     if kind is BijectionKind.MT_ASM:
         n = t.n
         if not validate_monotone(t):
@@ -43,13 +49,19 @@ def _kind_params(t: TriangularArray, kind: BijectionKind):
             raise InvalidInputError(f"bottom row must be (1..{n})")
         return n
     if t.n % 2:
-        raise InvalidInputError("triangle size must be even for the 2-ASM bijection")
+        raise InvalidInputError("triangle size must be even for a DMT on (n,n,...,1,1)")
     n = t.n // 2
     if not validate_dmt(t):
         raise InvalidInputError("not a decreasing monotone triangle")
     if t.bottom != _dmt_bottom(n):
         raise InvalidInputError(f"bottom row must be ({n},{n},...,1,1)")
     return n
+
+
+def _even_rows_paired(t: TriangularArray) -> bool:
+    # a DMT row holds no value three times, so a row of equal adjacent
+    # pairs holds every one of its values exactly twice
+    return all(row[::2] == row[1::2] for row in t.rows[1::2])
 
 
 def triangle_to_matrix(t: TriangularArray, kind: BijectionKind) -> SignMatrix:
@@ -86,55 +98,36 @@ def _validate_matrix(m: SignMatrix, kind: BijectionKind) -> int:
 
 
 def matrix_to_triangle(m: SignMatrix, kind: BijectionKind) -> TriangularArray:
-    """Inverse of ``triangle_to_matrix``: row i lists value j with the
-    multiplicity of the i-th partial column sum."""
+    """Inverse of ``triangle_to_matrix``: row i lists the values 1..n, in
+    ascending order for an ASM and descending order for a 2-ASM, each
+    repeated by the i-th partial sum of its column."""
     n = _validate_matrix(m, kind)
+    mt = kind is BijectionKind.MT_ASM
+    values = range(1, n + 1) if mt else range(n, 0, -1)
     rows = []
     totals = [0] * n
     for mat_row in m.entries:
         totals = [a + b for a, b in zip(totals, mat_row)]
-        if kind is BijectionKind.MT_ASM:
-            row = tuple(j for j in range(1, n + 1) if totals[j - 1] == 1)
-        else:
-            row = tuple(v for j in range(n, 0, -1) for v in [j] * totals[j - 1])
-        rows.append(row)
+        rows.append(tuple(v for v in values for _ in range(totals[v - 1])))
     t = TriangularArray(tuple(rows))
-    validator = validate_monotone if kind is BijectionKind.MT_ASM else validate_dmt
-    if not validator(t):
+    if not (validate_monotone(t) if mt else validate_dmt(t)):
         raise InternalError(f"{kind.value} inverse produced an invalid triangle {t.rows}")
     return t
 
 
-def _check_s1_shape(t: TriangularArray) -> int:
-    if t.n % 2:
-        raise InvalidInputError("an S1 triangle has an even number of rows")
-    n = t.n // 2
-    if not validate_dmt(t) or t.bottom != _dmt_bottom(n):
-        raise InvalidInputError(f"need a DMT with bottom row ({n},{n},...,1,1)")
-    return n
-
-
 def is_s1(t: TriangularArray) -> bool:
     """True iff every even row consists entirely of pairs."""
-    n = _check_s1_shape(t)
-    for i in range(1, n + 1):
-        row = t.rows[2 * i - 1]
-        if any(c != 2 for c in Counter(row).values()):
-            return False
-    return True
+    _kind_params(t, BijectionKind.DMT_2ASM)
+    return _even_rows_paired(t)
 
 
 def s1_to_mt(t: TriangularArray) -> TriangularArray:
     """Collapse the pairs of each even row and reverse: the corresponding
     monotone triangle with bottom row (1..n)."""
-    n = _check_s1_shape(t)
-    if not is_s1(t):
+    n = _kind_params(t, BijectionKind.DMT_2ASM)
+    if not _even_rows_paired(t):
         raise InvalidInputError("even rows are not all pairs")
-    rows = []
-    for i in range(1, n + 1):
-        distinct = tuple(sorted(set(t.rows[2 * i - 1])))
-        rows.append(distinct)
-    out = TriangularArray(tuple(rows))
+    out = TriangularArray(tuple(row[-2::-2] for row in t.rows[1::2]))
     if not (validate_monotone(out) and out.bottom == _mt_bottom(n)):
         raise InternalError(f"collapsing the S1 triangle gave {out.rows}")
     return out
@@ -144,33 +137,21 @@ def mt_to_s1(t: TriangularArray) -> TriangularArray:
     """Inverse of ``s1_to_mt``: even row 2i doubles the reversed i-th row of
     the monotone triangle; each odd-row entry is forced to the single value
     allowed by the diagonal inequalities against both neighbouring even rows."""
-    n = t.n
-    if not validate_monotone(t):
-        raise InvalidInputError("not a monotone triangle")
-    if t.bottom != _mt_bottom(n):
-        raise InvalidInputError(f"bottom row must be (1..{n})")
+    n = _kind_params(t, BijectionKind.MT_ASM)
     even_rows = [tuple(v for x in reversed(row) for v in (x, x)) for row in t.rows]
     rows = []
-    for i in range(n):
-        below = even_rows[i]
+    for i, below in enumerate(even_rows):
         above = even_rows[i - 1] if i > 0 else ()
-        odd = []
-        for j in range(2 * i + 1):
-            lo = below[j + 1] if j + 1 < len(below) else below[j]
-            hi = below[j]
-            if j < len(above):
-                lo = max(lo, above[j])
-            if j > 0 and j - 1 < len(above):
-                hi = min(hi, above[j - 1])
-            if lo != hi:
-                raise AmbiguityError(
-                    f"odd row {2 * i + 1}, entry {j + 1} not forced: [{lo}, {hi}]"
-                )
-            odd.append(lo)
-        rows.append(tuple(odd))
-        rows.append(below)
+        # entry j lies between below[j+1] and below[j], and between above[j]
+        # and above[j-1] where those exist
+        lo = tuple(max(b, a) for b, a in zip(below[1:], above + (-math.inf,)))
+        hi = tuple(min(b, a) for b, a in zip(below, (math.inf,) + above))
+        for j, (x, y) in enumerate(zip(lo, hi)):
+            if x != y:
+                raise AmbiguityError(f"odd row {2 * i + 1}, entry {j + 1} not forced: [{x}, {y}]")
+        rows += [lo, below]
     out = TriangularArray(tuple(rows))
-    if not (validate_dmt(out) and is_s1(out)):
+    if not (validate_dmt(out) and out.bottom == _dmt_bottom(n) and _even_rows_paired(out)):
         raise AmbiguityError("forced odd rows did not produce an S1 triangle")
     return out
 

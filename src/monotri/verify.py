@@ -293,22 +293,18 @@ def _run_behrend(params, rng):
 
 def _run_bijection(params, rng):
     rows = []
-    for n in range(1, params["asm_n_max"] + 1):
-        total = good = 0
-        for m in enumeration.enum_matrices("asm", n):
-            total += 1
-            t = transform.matrix_to_triangle(m, transform.BijectionKind.MT_ASM)
-            if transform.triangle_to_matrix(t, transform.BijectionKind.MT_ASM) == m:
-                good += 1
-        rows.append((f"ASM <-> triangle roundtrip at n={n}", total, good))
-    for n in range(1, params["twoasm_n_max"] + 1):
-        total = good = 0
-        for m in enumeration.enum_matrices("2asm", n):
-            total += 1
-            t = transform.matrix_to_triangle(m, transform.BijectionKind.DMT_2ASM)
-            if transform.triangle_to_matrix(t, transform.BijectionKind.DMT_2ASM) == m:
-                good += 1
-        rows.append((f"2-ASM <-> triangle roundtrip at n={n}", total, good))
+    for cls, label, kind, n_max in (
+        ("asm", "ASM", transform.BijectionKind.MT_ASM, params["asm_n_max"]),
+        ("2asm", "2-ASM", transform.BijectionKind.DMT_2ASM, params["twoasm_n_max"]),
+    ):
+        for n in range(1, n_max + 1):
+            total = good = 0
+            for m in enumeration.enum_matrices(cls, n):
+                total += 1
+                t = transform.matrix_to_triangle(m, kind)
+                if transform.triangle_to_matrix(t, kind) == m:
+                    good += 1
+            rows.append((f"{label} <-> triangle roundtrip at n={n}", total, good))
 
     golden_m = SignMatrix(SIZE5_2ASM)
     golden_t = TriangularArray(SIZE5_DMT)
@@ -408,7 +404,9 @@ def verify(identity_id: str, params: dict | None = None) -> VerificationReport:
     for key, value in (params or {}).items():
         if key not in merged:
             raise InvalidInputError(f"identity {identity_id!r} has no parameter {key!r}")
-        merged[key] = int(value)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidInputError(f"parameter {key!r} must be an integer, got {value!r}")
+        merged[key] = value
     start = time.perf_counter()
     for key, cap in ident.limits.items():
         if merged[key] > cap or merged[key] < 0:

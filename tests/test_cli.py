@@ -138,6 +138,28 @@ def test_stats_missing_file(capsys):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize("command", [
+    ("stats",),
+    ("biject", "--kind", "mt-asm", "--direction", "fwd"),
+])
+def test_unreadable_input_exit_2(tmp_path, capsys, monkeypatch, command):
+    # a directory, an unreadable file and undecodable bytes are input errors,
+    # not failed verifications and not tracebacks
+    code, out, err = run(capsys, *command, "--input", str(tmp_path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    path = tmp_path / "t.json"
+    path.write_bytes(b"\xff{")
+    code, out, err = run(capsys, *command, "--input", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr("monotri.cli.open", denied, raising=False)
+    code, out, err = run(capsys, *command, "--input", str(path))
+    assert code == 2 and out == "" and "Permission denied" in err
+
+
 def test_biject_roundtrip(tmp_path, capsys):
     path = tmp_path / "t.json"
     path.write_bytes(serialize(TriangularArray(DMT_10)))

@@ -34,6 +34,89 @@ def det_cofactor(rows):
     return total
 
 
+def fraction_elimination(rows, cols):
+    """Gaussian elimination over the rationals: (rank, determinant when the
+    matrix is square, else None).  An oracle independent of the package's
+    fraction-free elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    rank = 0
+    det = Fraction(1)
+    for c in range(cols):
+        pivot_row = next((r for r in range(rank, n) if a[r][c] != 0), None)
+        if pivot_row is None:
+            det = Fraction(0)
+            continue
+        if pivot_row != rank:
+            a[rank], a[pivot_row] = a[pivot_row], a[rank]
+            det = -det
+        inv = a[rank][c]
+        det *= inv
+        for r in range(rank + 1, n):
+            if a[r][c] != 0:
+                factor = a[r][c] / inv
+                for j in range(c, cols):
+                    a[r][j] -= factor * a[rank][j]
+        rank += 1
+        if rank == n:
+            break
+    if n != cols:
+        return rank, None
+    assert det.denominator == 1
+    return rank, int(det)
+
+
+def _random_matrix(rng, rows, cols, inner=None, density=1.0):
+    # a product through `inner` dimensions has rank at most `inner`; a low
+    # density leaves zero rows and columns, so that pivots need row swaps
+    if inner is None:
+        return tuple(
+            tuple(rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(cols))
+            for _ in range(rows)
+        )
+    left = _random_matrix(rng, rows, inner, density=density)
+    right = _random_matrix(rng, inner, cols, density=density)
+    return tuple(
+        tuple(sum(left[i][k] * right[k][j] for k in range(inner)) for j in range(cols))
+        for i in range(rows)
+    )
+
+
+@pytest.mark.parametrize("shape", ["square", "tall", "wide", "deficient", "empty"])
+@pytest.mark.parametrize("density", [1.0, 0.3])
+def test_rank_and_det_against_fraction_oracle(shape, density):
+    rng = random.Random(f"exactla-{shape}-{density}")
+    for _ in range(40):
+        if shape == "square":
+            n = rng.randint(1, 6)
+            rows, cols, inner = n, n, None
+        elif shape == "tall":
+            cols = rng.randint(1, 5)
+            rows, inner = rng.randint(cols + 1, 8), None
+        elif shape == "wide":
+            rows = rng.randint(1, 5)
+            cols, inner = rng.randint(rows + 1, 8), None
+        elif shape == "deficient":
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            inner = rng.randint(0, min(rows, cols) - 1)
+            if rng.random() < 0.3:
+                cols = rows
+        else:
+            rows, cols, inner = rng.choice(((0, 0), (1, 0), (4, 0))) + (None,)
+        entries = _random_matrix(rng, rows, cols, inner, density)
+        m = ExactMatrix(entries)
+        assert (m.rows, m.cols) == (rows, cols if rows else 0)
+        rank, det = fraction_elimination(entries, m.cols)
+        assert rank_exact(m) == rank, entries
+        if det is None:
+            with pytest.raises(InvalidInputError):
+                det_exact(m)
+        else:
+            assert det_exact(m) == det, entries
+        if shape == "deficient":
+            assert rank <= inner < min(rows, cols)
+
+
 def test_det_basics():
     assert det_exact(identity_matrix(3)) == 1
     assert det_exact(ExactMatrix(((1, 1), (0, 2)))) == 2

@@ -86,6 +86,23 @@ def test_parse_errors_carry_location():
         deserialize(b'{"type": "triangle", "rows": [[1], [2]]}', "triangle")
 
 
+_REPORT = (b'{"type": "report", "identity_id": "x", "parameters": %s, "status": "Verified",'
+           b' "details": [], "elapsed_ms": %s}')
+
+
+@pytest.mark.parametrize("data, kind", [
+    pytest.param(b"\xff{", "triangle", id="undecodable-json"),
+    pytest.param(b"\xff\xfe0,1\n", "matrix", id="undecodable-csv"),
+    pytest.param(_REPORT % (b"{}", b'"abc"'), "report", id="elapsed-not-a-number"),
+    pytest.param(_REPORT % (b'"ab"', b"1.0"), "report", id="parameters-not-a-mapping"),
+    pytest.param(b'{"type": "triangle", "rows": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+                 "triangle", id="nested-too-deeply"),
+])
+def test_bad_bytes_raise_parse_error(data, kind):
+    with pytest.raises(ParseError):
+        deserialize(data, kind)
+
+
 def test_unknown_kind_and_format():
     with pytest.raises(InvalidInputError):
         deserialize(b"{}", "widget")

@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "monotri"
@@ -14,3 +17,27 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_names_resolve(monkeypatch):
+    # the benchmark traces and drives the package by name; a renamed or
+    # deleted public function must fail here, not only in the benchmark suite
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spans = _load_perfbench("spans")
+    for module, func, *_ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(f"monotri.{module}"), func, None)), (
+            f"monotri.{module}.{func}"
+        )
+    workloads = _load_perfbench("workloads")
+    for name, cls in workloads.WORKLOADS.items():
+        assert cls(0).ops, name

@@ -2,6 +2,7 @@ import pytest
 
 from monotri import (
     AlphaMethod,
+    AmbiguityError,
     BijectionKind,
     InternalError,
     InvalidInputError,
@@ -109,6 +110,57 @@ def test_bijection_input_validation():
         triangle_to_matrix(GOLDEN_T, BijectionKind.MT_ASM)
     with pytest.raises(InvalidInputError):
         matrix_to_triangle(SignMatrix(((0, 1), (1, 0), (0, 0), (1, 1))), BijectionKind.DMT_2ASM)
+
+
+# (name, function, kind of triangle it takes)
+_TRIANGLE_FNS = (
+    ("triangle_to_matrix-mt", lambda t: triangle_to_matrix(t, BijectionKind.MT_ASM), "mt"),
+    ("mt_to_s1", mt_to_s1, "mt"),
+    ("triangle_to_matrix-dmt", lambda t: triangle_to_matrix(t, BijectionKind.DMT_2ASM), "dmt"),
+    ("is_s1", is_s1, "dmt"),
+    ("s1_to_mt", s1_to_mt, "dmt"),
+)
+_BAD_TRIANGLES = {
+    "mt": (
+        ("wrong-bottom", ((1,), (1, 3))),
+        ("invalid", ((3,), (1, 2))),
+        ("dmt", ((1,), (1, 1))),
+    ),
+    "dmt": (
+        ("odd-size", ((1,),)),
+        ("odd-size-valid-dmt", ((2,), (2, 2), (3, 2, 2))),
+        ("wrong-bottom", ((2,), (2, 2))),
+        ("invalid", ((1,), (2, 1))),
+        ("mt", ((1,), (1, 2))),
+    ),
+}
+
+
+@pytest.mark.parametrize("fn, rows", [
+    pytest.param(fn, rows, id=f"{name}-{case}")
+    for name, fn, kind in _TRIANGLE_FNS
+    for case, rows in _BAD_TRIANGLES[kind]
+])
+def test_triangle_functions_reject_the_same_inputs(fn, rows):
+    with pytest.raises(InvalidInputError):
+        fn(TriangularArray(rows))
+
+
+def test_mt_to_s1_output_self_check(monkeypatch):
+    # each part of the check on the built S1 triangle raises AmbiguityError
+    from monotri import transform
+
+    t = TriangularArray(((2,), (1, 3), (1, 2, 3)))
+    for name, broken in (
+        ("validate_dmt", lambda t: False),
+        ("_dmt_bottom", lambda n: (0,) * (2 * n)),
+        ("_even_rows_paired", lambda t: False),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(transform, name, broken)
+            with pytest.raises(AmbiguityError):
+                mt_to_s1(t)
+    assert is_s1(mt_to_s1(t))
 
 
 def test_is_s1():

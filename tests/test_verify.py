@@ -25,6 +25,13 @@ def test_unknown_parameter():
         verify("table", {"q_max": 3})
 
 
+@pytest.mark.parametrize("value", [2.7, 3.0, "3", "x", None, True])
+def test_non_integer_parameter_rejected(value):
+    # a float is not truncated and a string is not parsed: only int is a size
+    with pytest.raises(InvalidInputError, match="n_max"):
+        verify("theorem2", {"n_max": value})
+
+
 def test_out_of_range_parameters_skip():
     report = verify("table", {"n_max": 15})
     assert report.status == "Skipped"
