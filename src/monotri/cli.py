@@ -1,7 +1,8 @@
 """Command line interface.
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success or
-Verified, 1 failed verification, 2 invalid input, 3 resource limit.
+Verified, 1 failed verification, 2 invalid input, 3 resource limit.  A
+reader closing stdout early ends the run quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -10,10 +11,10 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import sys
 
 from . import enumeration, exactla, transform
-from ._util import cache_limit
 from .core import triangle_stats
 from .enumeration import TriangleClass
 from .errors import InvalidInputError, ParseError, ResourceLimitError
@@ -181,9 +182,15 @@ def run_cli(argv) -> int:
     except SystemExit as e:
         return EXIT_INVALID if e.code not in (0, None) else EXIT_OK
     try:
-        # a bad MONOTRI_CACHE_LIMIT is an input error of every subcommand
-        cache_limit()
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left: send what is still buffered, at exit too, to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (InvalidInputError, ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

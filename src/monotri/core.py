@@ -8,6 +8,7 @@ and count is exact.  All types are immutable and all functions are pure.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -80,8 +81,7 @@ class SignMatrix:
 
 class RowSeqClass(Enum):
     """Shape class of a bottom-row candidate, as ``classify_row_sequence``
-    reports it.  ``alpha`` does not consult it: its automatic dispatch calls
-    the shape predicates below directly."""
+    reports it; ``alpha``'s automatic dispatch picks its method from it."""
 
     STRICTLY_INCREASING = "strictly-increasing"
     WEAKLY_DECREASING_MULT2 = "weakly-decreasing-mult2"
@@ -107,15 +107,16 @@ class StatRecord:
 
 
 def is_strictly_increasing(k) -> bool:
-    return all(a < b for a, b in zip(k, k[1:]))
+    return all(map(operator.lt, k, k[1:]))
 
 
 def is_weakly_decreasing(k) -> bool:
-    return all(a >= b for a, b in zip(k, k[1:]))
+    return all(map(operator.ge, k, k[1:]))
 
 
 def has_triple(k) -> bool:
-    return any(c >= 3 for c in Counter(k).values())
+    s = sorted(k)  # a value taken three times is three in a row once sorted
+    return any(map(operator.eq, s, s[2:]))
 
 
 def classify_row_sequence(k) -> RowSeqClass:

@@ -7,35 +7,36 @@ their sign contribution, in lexicographically decreasing order.  A DMT
 prefix carries its run length and sign count, so the multiplicity and
 singleton rules and ``pairs + newcomers`` are settled as the row grows.
 ``predecessors`` checks its row and returns that stream; ``enum_triangles``
-stacks rows from it, and counting runs a DP over distinct rows through it,
-memoised up to translation, whose transition weights carry the signs
-(``evaluate.alpha`` runs the same DP).  The ``enum_*`` functions check
-their arguments when called and return the stream; matrices come from
-``machines.backtrack`` over the row words of ``machines.generate``, in
-row-major lexicographic order with -1 < 0 < 1.
+stacks rows from it, and ``signed_count`` runs a DP over distinct rows
+through it, whose transition weights carry the signs, memoised in a
+bounded LRU cache keyed by rows shifted to end in 0.  The ``enum_*``
+functions check their arguments when called and return the stream;
+matrices come from ``machines.backtrack`` over the row words of
+``machines.generate``, in row-major lexicographic order with -1 < 0 < 1.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
 from . import machines
-from ._util import MEMO, cache_put, clear_caches, memo_key  # noqa: F401 (clear_caches re-exported)
 from .core import (
+    RowSeqClass,
     SignMatrix,
     TriangularArray,
     _pair_values,
-    has_triple,
-    is_strictly_increasing,
-    is_weakly_decreasing,
+    classify_row_sequence,
     validate_dmt,
     validate_monotone,
 )
 from .errors import InternalError, InvalidInputError
 
 STATISTICS = ("plain", "sc", "dd_with_prefactor", "dd_bar")
+
+_MEMO_ENTRIES = 1 << 20
 
 
 class TriangleClass(Enum):
@@ -45,12 +46,11 @@ class TriangleClass(Enum):
 
 def _check_bottom(k, cls) -> tuple[int, ...]:
     k = tuple(k)
-    if not k:
-        raise InvalidInputError("empty bottom row")
-    if cls is TriangleClass.MT:
-        if not is_strictly_increasing(k):
-            raise InvalidInputError(f"{k} is not strictly increasing")
-    elif not (is_weakly_decreasing(k) and not has_triple(k)):
+    shape = classify_row_sequence(k)
+    if cls is TriangleClass.MT and shape is not RowSeqClass.STRICTLY_INCREASING:
+        raise InvalidInputError(f"{k} is not strictly increasing")
+    # a single entry is tagged strictly increasing, and fits DMT too
+    if cls is TriangleClass.DMT and len(k) > 1 and shape is not RowSeqClass.WEAKLY_DECREASING_MULT2:
         raise InvalidInputError(f"{k} is not weakly decreasing with multiplicity <= 2")
     return k
 
@@ -131,29 +131,28 @@ def _checked_triangles(bottom, cls):
         yield t
 
 
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def _count(kernel, row, cls):
-    """DP over distinct rows, memoised up to translation; ``kernel`` names
-    the transition weight."""
-    if len(row) == 1:
-        return 1
-    key = memo_key(kernel, row)
-    cached = MEMO.get(key)
-    if cached is not None:
-        return cached
+    """DP over distinct rows; ``row`` has at least two entries and ends in 0,
+    and so does every row it looks up.  ``kernel`` names the transition weight."""
     value = 0
-    if kernel == "plain":
-        for above, _ in predecessors(row, cls):
-            value += _count(kernel, above, cls)
-    elif kernel == "sc":
-        for above, sc in predecessors(row, cls):
-            value += -_count(kernel, above, cls) if sc % 2 else _count(kernel, above, cls)
-    else:  # pair coincidence weight, shared by dd and dd_bar
-        below_pairs = _pair_values(row)
-        for above, _ in predecessors(row, cls):
-            w = -1 if len(_pair_values(above) & below_pairs) % 2 else 1
-            value += w * _count(kernel, above, cls)
-    cache_put(key, value)
+    leaf = len(row) == 2
+    below_pairs = _pair_values(row) if kernel == "pair" else None
+    for above, sc in predecessors(row, cls):
+        last = above[-1]
+        sub = 1 if leaf else _count(kernel, tuple([x - last for x in above]), cls)
+        if kernel == "plain":
+            value += sub
+        elif kernel == "sc":
+            value += -sub if sc % 2 else sub
+        else:  # pair coincidence weight, shared by dd and dd_bar
+            value += -sub if len(_pair_values(above) & below_pairs) % 2 else sub
     return value
+
+
+def clear_caches() -> None:
+    """Empty the DP's memo."""
+    _count.cache_clear()
 
 
 def signed_count(bottom, cls: TriangleClass, statistic: str):
@@ -166,14 +165,14 @@ def signed_count(bottom, cls: TriangleClass, statistic: str):
     bottom = _check_bottom(bottom, cls)
     if statistic not in STATISTICS:
         raise InvalidInputError(f"unknown statistic {statistic!r}")
-    if statistic == "plain":
-        return _count("plain", bottom, cls)
-    if statistic == "sc":
-        return _count("sc", bottom, cls)
-    value = _count("pair", bottom, cls)
-    if statistic == "dd_bar":
-        return value
     n = len(bottom)
+    if n == 1:
+        value = 1
+    else:
+        kernel = "pair" if statistic.startswith("dd") else statistic
+        value = _count(kernel, tuple([x - bottom[-1] for x in bottom]), cls)
+    if statistic != "dd_with_prefactor":
+        return value
     bottom_pairs = sum(1 for a, b in zip(bottom, bottom[1:]) if a == b)
     exponent = n * (n - 1) // 2 + bottom_pairs
     return -value if exponent % 2 else value

@@ -13,8 +13,9 @@ are provided and must agree wherever their domains overlap:
 * ``SIGNED_DMT_DP`` runs the sign-weighted predecessor DP over decreasing
   monotone triangle rows.
 
-Both DPs are the predecessor-row engine of ``enumeration`` (its ``plain``
-and ``sc`` kernels).  All strategies memoise in the one table of ``_util``.
+Both DPs are ``enumeration.signed_count``.  The operator recursion has its
+own bounded LRU cache, keyed like the DP's by rows shifted to end in 0, so
+neither reads the other's entries and each stays an independent check.
 
 All arithmetic is exact; rationals appear only inside ``refined_asm`` and
 must cancel.
@@ -22,13 +23,14 @@ must cancel.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from fractions import Fraction
 
-from ._util import MEMO, cache_put, clear_caches, memo_key  # noqa: F401 (clear_caches re-exported)
-from .core import _dmt_bottom, has_triple, is_strictly_increasing, is_weakly_decreasing
-from .enumeration import TriangleClass, _count
+from . import enumeration
+from .core import RowSeqClass, _dmt_bottom, classify_row_sequence
+from .enumeration import _MEMO_ENTRIES, TriangleClass, signed_count
 from .errors import InternalError, InvalidInputError, ResourceLimitError
 
 DEFAULT_OP_MAX_N = 6
@@ -111,16 +113,33 @@ class AlphaMethod(Enum):
     SIGNED_DMT_DP = "dmt"
 
 
+_AUTO_METHOD = {
+    RowSeqClass.STRICTLY_INCREASING: AlphaMethod.MONOTONE_DP,
+    RowSeqClass.WEAKLY_DECREASING_MULT2: AlphaMethod.SIGNED_DMT_DP,
+    RowSeqClass.HAS_TRIPLE: AlphaMethod.SIGNED_DMT_DP,
+    RowSeqClass.OTHER: AlphaMethod.OPERATOR_RECURSION,
+}
+
+
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def _alpha_op(k):
+    """The operator recursion at ``k``, which has at least two entries and
+    ends in 0."""
+    return _op_apply(_alpha_op_at, k, 5)
+
+
+def _alpha_op_at(*k):
+    """alpha at ``k`` by the operator recursion, looked up with ``k`` shifted."""
     if len(k) == 1:
         return 1
-    key = memo_key("op", k)
-    cached = MEMO.get(key)
-    if cached is not None:
-        return cached
-    value = _op_apply(lambda *l: _alpha_op(l), k, 5)
-    cache_put(key, value)
-    return value
+    last = k[-1]
+    return _alpha_op(tuple([x - last for x in k]))
+
+
+def clear_caches() -> None:
+    """Empty the operator recursion's memo and the DP's."""
+    _alpha_op.cache_clear()
+    enumeration.clear_caches()
 
 
 def alpha(
@@ -134,36 +153,22 @@ def alpha(
 
     The operator recursion refuses vectors beyond (op_max_n, op_max_spread).
     """
-    k = tuple(int(x) for x in k)
-    if not k:
-        raise InvalidInputError("alpha needs at least one argument")
+    k = tuple(map(int, k))
+    shape = classify_row_sequence(k)
     if isinstance(method, str):
         try:
             method = AlphaMethod(method)
         except ValueError:
             raise InvalidInputError(f"unknown alpha method {method!r}") from None
-
-    increasing = is_strictly_increasing(k)
-    decreasing = is_weakly_decreasing(k)
     if method is AlphaMethod.AUTO:
-        if increasing:
-            method = AlphaMethod.MONOTONE_DP
-        elif decreasing:
-            method = AlphaMethod.SIGNED_DMT_DP
-        else:
-            method = AlphaMethod.OPERATOR_RECURSION
+        method = _AUTO_METHOD[shape]
 
     if method is AlphaMethod.MONOTONE_DP:
-        if not increasing:
-            raise InvalidInputError("MONOTONE_DP needs a strictly increasing row")
-        return _count("plain", k, TriangleClass.MT)
-
+        return signed_count(k, TriangleClass.MT, "plain")
     if method is AlphaMethod.SIGNED_DMT_DP:
-        if not decreasing:
-            raise InvalidInputError("SIGNED_DMT_DP needs a weakly decreasing row")
-        if has_triple(k):
+        if shape is RowSeqClass.HAS_TRIPLE:
             return 0
-        return _count("sc", k, TriangleClass.DMT)
+        return signed_count(k, TriangleClass.DMT, "sc")
 
     n = len(k)
     spread = max(k) - min(k)
@@ -172,7 +177,7 @@ def alpha(
             f"operator recursion refused: n={n} (max {op_max_n}), "
             f"spread={spread} (max {op_max_spread})"
         )
-    return _alpha_op(k)
+    return _alpha_op_at(*k)
 
 
 def forward_difference_power(g, i: int, x: int, backward: bool = False) -> int:

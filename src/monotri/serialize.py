@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 from .core import SignMatrix, TriangularArray
 from .errors import InvalidInputError, ParseError
-from .report import VerificationReport
+from .report import FAILED, SKIPPED, VERIFIED, VerificationReport
 
 KINDS = ("triangle", "matrix", "report")
 FORMATS = ("json", "csv", "text")
@@ -95,8 +96,12 @@ def serialize(value, format: str = "json") -> bytes:
     raise InvalidInputError(f"cannot serialize {type(value).__name__}")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _as_int(x, where):
-    if isinstance(x, int) and not isinstance(x, bool):
+    if _is_int(x):
         return x
     raise ParseError(f"expected an integer at {where}, got {x!r}")
 
@@ -126,22 +131,26 @@ def _rows_from_obj(obj, key, cls):
         raise ParseError(str(e)) from None
 
 
+# what each report field must hold; JSON object keys are always strings
+_REPORT_FIELDS = {
+    "identity_id": lambda v: isinstance(v, str),
+    "parameters": lambda v: isinstance(v, dict) and all(map(_is_int, v.values())),
+    "status": lambda v: v in (VERIFIED, FAILED, SKIPPED),
+    "elapsed_ms": lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v),
+    "reason": lambda v: v is None or isinstance(v, str),
+    "details": lambda v: isinstance(v, list) and all(
+        isinstance(d, list) and len(d) == 3 and isinstance(d[0], str) for d in v),
+}
+
+
 def _report_from_obj(obj):
-    try:
-        details = tuple(
-            (str(d[0]), _as_int(d[1], "details"), _as_int(d[2], "details"))
-            for d in obj["details"]
-        )
-        return VerificationReport(
-            identity_id=str(obj["identity_id"]),
-            parameters=dict(obj["parameters"]),
-            status=str(obj["status"]),
-            details=details,
-            elapsed_ms=float(obj["elapsed_ms"]),
-            reason=obj.get("reason"),
-        )
-    except (KeyError, IndexError, TypeError, ValueError) as e:
-        raise ParseError(f"malformed report object: {e}") from None
+    for name, ok in _REPORT_FIELDS.items():
+        if not ok(obj.get(name)):
+            raise ParseError(f"report field {name!r} missing or invalid: {obj.get(name)!r}")
+    details = tuple((desc, _as_int(expected, "details"), _as_int(actual, "details"))
+                    for desc, expected, actual in obj["details"])
+    return VerificationReport(obj["identity_id"], obj["parameters"], obj["status"], details,
+                              float(obj["elapsed_ms"]), obj.get("reason"))
 
 
 def _matrix_from_csv(text: str):

@@ -1,8 +1,9 @@
+import functools
 import random
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monotri import (
@@ -13,6 +14,8 @@ from monotri import (
     X_number,
     alpha,
     binomial,
+    enumeration,
+    evaluate,
     ext_sum,
     forward_difference_power,
     refined_asm,
@@ -215,22 +218,50 @@ def test_alpha_methods_agree_decreasing():
                     ), row
 
 
-def test_operator_recursion_never_reads_dp_entries():
-    from monotri import _util
+@st.composite
+def shaped_rows(draw):
+    values = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=5))
+    shape = draw(st.sampled_from(("increasing", "decreasing", "as drawn")))
+    if shape == "increasing":
+        return tuple(sorted(set(values)))
+    if shape == "decreasing":
+        return tuple(sorted(values, reverse=True))
+    return tuple(values)
 
+
+@settings(max_examples=80, deadline=None)
+@given(shaped_rows(), st.integers(-40, 40))
+def test_strategies_agree_on_shifts_and_reflections(row, c):
+    # the memo stays warm across examples, so a row is often answered from
+    # entries stored under a shifted or reflected copy by another strategy
+    reflected = tuple(-x for x in reversed(row))
+    values = set()
+    for k in (row, tuple(x + c for x in row), reflected, tuple(x + c for x in reflected)):
+        values.add(alpha(k, AlphaMethod.OPERATOR_RECURSION))
+        if all(a < b for a, b in zip(k, k[1:])):
+            values.add(alpha(k, AlphaMethod.MONOTONE_DP))
+        if all(a >= b for a, b in zip(k, k[1:])):
+            values.add(alpha(k, AlphaMethod.SIGNED_DMT_DP))
+    assert len(values) == 1, (row, c, values)
+
+
+def test_operator_recursion_never_reads_dp_entries(monkeypatch):
     try:
         for row, dp in (((2, 4, 5, 8, 9), AlphaMethod.MONOTONE_DP),
                         ((6, 3, 3, 2, 1), AlphaMethod.SIGNED_DMT_DP)):
-            _util.clear_caches()
+            evaluate.clear_caches()
             want = alpha(row, AlphaMethod.OPERATOR_RECURSION)
-            _util.clear_caches()
+            evaluate.clear_caches()
             alpha(row, dp)
-            for key in list(_util.MEMO):
-                _util.MEMO[key] += 1  # every DP entry is now wrong
+            warm = enumeration._count
+            # every DP entry now reads one too many
+            monkeypatch.setattr(enumeration, "_count",
+                                functools.lru_cache(maxsize=None)(lambda *a: warm(*a) + 1))
             assert alpha(row, dp) == want + 1
             assert alpha(row, AlphaMethod.OPERATOR_RECURSION) == want
+            monkeypatch.undo()
     finally:
-        _util.clear_caches()
+        evaluate.clear_caches()
 
 
 def test_alpha_vanishes_on_triples():
@@ -281,31 +312,24 @@ def test_staircase_values():
 
 def test_dp_state_counts():
     # pins the DP's state space: one memo entry per distinct row up to translation
-    from monotri import _util
-
     try:
         for row, states in ((tuple(range(11, 0, -1)), 2460), ((0, 3, 5, 8, 10, 13), 592)):
-            _util.clear_caches()
+            evaluate.clear_caches()
             alpha(row)
-            assert len(_util.MEMO) == states, row
+            assert enumeration._count.cache_info().currsize == states, row
     finally:
-        _util.clear_caches()
+        evaluate.clear_caches()
 
 
-def test_cache_limit_keeps_results_correct():
-    from monotri import _util
-
-    old = _util.cache_limit()
-    try:
-        _util.set_cache_limit(2)
-        _util.clear_caches()
-        assert alpha((2, 4, 5, 8, 9), AlphaMethod.MONOTONE_DP) == 16939
-        assert alpha((6, 3, 3, 2, 1), AlphaMethod.SIGNED_DMT_DP) == 3
-        assert alpha((2, 4, 5, 8, 9), AlphaMethod.OPERATOR_RECURSION) == 16939
-        assert len(_util.MEMO) <= 2
-    finally:
-        _util.set_cache_limit(old)
-        _util.clear_caches()
+def test_cache_limit_keeps_results_correct(monkeypatch):
+    tiny_dp = functools.lru_cache(maxsize=2)(enumeration._count.__wrapped__)
+    tiny_op = functools.lru_cache(maxsize=2)(evaluate._alpha_op.__wrapped__)
+    monkeypatch.setattr(enumeration, "_count", tiny_dp)
+    monkeypatch.setattr(evaluate, "_alpha_op", tiny_op)
+    assert alpha((2, 4, 5, 8, 9), AlphaMethod.MONOTONE_DP) == 16939
+    assert alpha((6, 3, 3, 2, 1), AlphaMethod.SIGNED_DMT_DP) == 3
+    assert alpha((2, 4, 5, 8, 9), AlphaMethod.OPERATOR_RECURSION) == 16939
+    assert tiny_dp.cache_info().currsize <= 2 and tiny_op.cache_info().currsize <= 2
 
 
 # difference operators -------------------------------------------------------

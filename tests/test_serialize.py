@@ -103,6 +103,30 @@ def test_bad_bytes_raise_parse_error(data, kind):
         deserialize(data, kind)
 
 
+_GOOD_REPORT = {"type": "report", "identity_id": "x", "parameters": {"n": 3},
+                "status": "Verified", "details": [["d", 1, 1]], "elapsed_ms": 1.5}
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param("parameters", ["ab"], id="parameters-a-list"),
+    pytest.param("parameters", {"n": "3"}, id="parameter-a-string"),
+    pytest.param("parameters", {"n": True}, id="parameter-a-bool"),
+    pytest.param("identity_id", 7, id="identity-a-number"),
+    pytest.param("status", "Bogus", id="status-unknown"),
+    pytest.param("elapsed_ms", "nan", id="elapsed-a-string"),
+    pytest.param("elapsed_ms", True, id="elapsed-a-bool"),
+    pytest.param("elapsed_ms", float("nan"), id="elapsed-nan"),
+    pytest.param("elapsed_ms", float("inf"), id="elapsed-infinite"),
+    pytest.param("reason", 5, id="reason-a-number"),
+    pytest.param("details", [[5, 1, 1]], id="description-a-number"),
+    pytest.param("details", [["d", 1, 1, 1]], id="detail-of-four-entries"),
+])
+def test_report_fields_checked(field, value):
+    assert deserialize(json.dumps(_GOOD_REPORT), "report").details == (("d", 1, 1),)
+    with pytest.raises(ParseError):
+        deserialize(json.dumps({**_GOOD_REPORT, field: value}), "report")
+
+
 def test_unknown_kind_and_format():
     with pytest.raises(InvalidInputError):
         deserialize(b"{}", "widget")

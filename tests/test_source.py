@@ -19,6 +19,20 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def test_no_environment_reads():
+    # the package has no environment configuration; a new knob must change this test
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv")
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                    alias.name in ("environ", "environb", "getenv") for alias in node.names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 PERFBENCH = SRC.parents[1] / "perfbench"
 
 
