@@ -119,13 +119,25 @@ def has_triple(k) -> bool:
     return any(map(operator.eq, s, s[2:]))
 
 
+def _int_entries(k) -> tuple[int, ...]:
+    """``k`` as a tuple whose entries are all integers; an entry that is not,
+    such as a float or a string, is refused rather than truncated."""
+    k = tuple(k)
+    try:
+        for x in k:
+            operator.index(x)
+    except TypeError:
+        raise InvalidInputError(f"entry {x!r} is not an integer") from None
+    return k
+
+
 def classify_row_sequence(k) -> RowSeqClass:
-    """Classify a bottom-row candidate.
+    """Classify a bottom-row candidate, whose entries must be integers.
 
     A single entry is both strictly increasing and weakly decreasing; the
     strictly increasing tag wins in that degenerate case.
     """
-    k = tuple(k)
+    k = _int_entries(k)
     if not k:
         raise InvalidInputError("empty sequence")
     if is_strictly_increasing(k):

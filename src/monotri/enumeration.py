@@ -10,9 +10,15 @@ singleton rules and ``pairs + newcomers`` are settled as the row grows.
 stacks rows from it, and ``signed_count`` runs a DP over distinct rows
 through it, whose transition weights carry the signs, memoised in a
 bounded LRU cache keyed by rows shifted to end in 0.  The ``enum_*``
-functions check their arguments when called and return the stream;
-matrices come from ``machines.backtrack`` over the row words of
-``machines.generate``, in row-major lexicographic order with -1 < 0 < 1.
+functions check their arguments when called and return the stream.
+
+Each sign-matrix class (ASMs, 2-ASMs and the W-objects for (n, i)) has one
+description, ``_matrix_class``: the machine that reads each row, the one
+that reads every column, and the width.  ``enum_matrices`` and
+``enum_wni_objects`` run ``machines.backtrack`` from it, over the row words
+of ``machines.generate``, in row-major lexicographic order with
+-1 < 0 < 1; ``is_valid_wni`` and ``transform.matrix_to_triangle`` check
+membership against it.
 """
 
 from __future__ import annotations
@@ -43,10 +49,14 @@ class TriangleClass(Enum):
     MT = "mt"
     DMT = "dmt"
 
+    # members are singletons compared by identity; the identity hash is C
+    # code, where Enum.__hash__ is Python code run on every DP cache lookup
+    __hash__ = object.__hash__
 
-def _check_bottom(k, cls) -> tuple[int, ...]:
+
+def _check_bottom(k, cls, shape=None) -> tuple[int, ...]:
     k = tuple(k)
-    shape = classify_row_sequence(k)
+    shape = shape or classify_row_sequence(k)
     if cls is TriangleClass.MT and shape is not RowSeqClass.STRICTLY_INCREASING:
         raise InvalidInputError(f"{k} is not strictly increasing")
     # a single entry is tagged strictly increasing, and fits DMT too
@@ -162,7 +172,13 @@ def signed_count(bottom, cls: TriangleClass, statistic: str):
     ``dd_with_prefactor``: (-1)^C(n,2) * sum of (-1)^dd.
     ``dd_bar``: sum of (-1)^dd_bar.
     """
-    bottom = _check_bottom(bottom, cls)
+    return _signed_count(bottom, cls, statistic, None)
+
+
+def _signed_count(bottom, cls, statistic, shape):
+    """``signed_count``, for a caller that has already classified the row as
+    ``shape`` (or passes None)."""
+    bottom = _check_bottom(bottom, cls, shape)
     if statistic not in STATISTICS:
         raise InvalidInputError(f"unknown statistic {statistic!r}")
     n = len(bottom)
@@ -178,19 +194,52 @@ def signed_count(bottom, cls: TriangleClass, statistic: str):
     return -value if exponent % 2 else value
 
 
-def enum_matrices(kind: str, n: int):
-    """All ASMs (n x n) or 2-ASMs (2n x n) of size n, row-major lexicographic."""
+def _matrix_class(kind: str, n: int, i: int | None = None):
+    """The one description of each sign-matrix class: the machine that reads
+    each row, the machine that reads every column, and the width.  ``asm``:
+    the n x n ASMs; ``2asm``: the 2n x n 2-ASMs; ``wni`` with ``i``: the
+    (2n-1) x (n-1) W-objects for (n, i), whose row 2n-i (1-based) is the
+    modified row."""
     if n < 1:
         raise InvalidInputError("n must be positive")
     if kind == "asm":
-        height, column_machine = n, machines.ASM_WORD
-    elif kind == "2asm":
-        height, column_machine = 2 * n, machines.TWO_ASM_COLUMN
-    else:
-        raise InvalidInputError(f"unknown matrix kind {kind!r}")
-    words = list(machines.generate(machines.ASM_WORD, n))
-    return (SignMatrix(entries)
-            for entries in machines.backtrack(column_machine, n, [words] * height))
+        return (machines.ASM_WORD,) * n, machines.ASM_WORD, n
+    if kind == "2asm":
+        return (machines.ASM_WORD,) * (2 * n), machines.TWO_ASM_COLUMN, n
+    if kind == "wni" and i is not None:
+        if not 1 <= i <= 2 * n - 1:
+            raise InvalidInputError(f"need 1 <= i <= 2n-1, got n={n}, i={i}")
+        rows = [machines.ASM_WORD] * (2 * n - 1)
+        rows[2 * n - i - 1] = machines.MODIFIED_ROW
+        return tuple(rows), machines.TWO_ASM_COLUMN, n - 1
+    raise InvalidInputError(f"unknown matrix kind {kind!r}")
+
+
+def _class_members(kind, n, i=None):
+    """Stream of the class's matrices, row-major lexicographic; checks its
+    arguments when called."""
+    row_machines, column_machine, width = _matrix_class(kind, n, i)
+    words = {m: list(machines.generate(m, width)) for m in dict.fromkeys(row_machines)}
+    return machines.backtrack(column_machine, width, [words[m] for m in row_machines])
+
+
+def _check_member(m: SignMatrix, kind: str, n: int, i: int | None = None) -> None:
+    """Raise InvalidInputError unless ``m`` belongs to the class."""
+    row_machines, column_machine, width = _matrix_class(kind, n, i)
+    if (m.rows, m.cols) != (len(row_machines), width):
+        raise InvalidInputError(
+            f"a {kind} matrix for n={n} is {len(row_machines)} x {width}, got {m.rows} x {m.cols}")
+    for machine, row in zip(row_machines, m.entries):
+        if not machines.accepts(machine, row):
+            raise InvalidInputError(f"row {row} rejected by {machine}")
+    for col in m.columns():
+        if not machines.accepts(column_machine, col):
+            raise InvalidInputError(f"column {col} rejected by {column_machine}")
+
+
+def enum_matrices(kind: str, n: int):
+    """All ASMs (n x n) or 2-ASMs (2n x n) of size n, row-major lexicographic."""
+    return (SignMatrix(entries) for entries in _class_members(kind, n))
 
 
 @dataclass(frozen=True)
@@ -203,35 +252,17 @@ class WniObject:
     matrix: SignMatrix
 
 
-def _wni_shape_ok(n, i):
-    return n >= 1 and 1 <= i <= 2 * n - 1
-
-
 def is_valid_wni(obj: WniObject) -> bool:
-    n, i, m = obj.n, obj.i, obj.matrix
-    if not _wni_shape_ok(n, i):
+    try:
+        _check_member(obj.matrix, "wni", obj.n, obj.i)
+    except InvalidInputError:
         return False
-    if m.rows != 2 * n - 1 or m.cols != n - 1:
-        return False
-    modified = 2 * n - i - 1
-    for r, row in enumerate(m.entries):
-        machine = machines.MODIFIED_ROW if r == modified else machines.ASM_WORD
-        if not machines.accepts(machine, row):
-            return False
-    return all(machines.accepts(machines.TWO_ASM_COLUMN, col) for col in m.columns())
+    return True
 
 
 def enum_wni_objects(n: int, i: int):
     """All W-objects for (n, i), in row-major lexicographic matrix order."""
-    if not _wni_shape_ok(n, i):
-        raise InvalidInputError(f"need 1 <= i <= 2n-1, got n={n}, i={i}")
-    height, width = 2 * n - 1, n - 1
-    modified = 2 * n - i - 1
-    asm_words = list(machines.generate(machines.ASM_WORD, width))
-    mod_words = list(machines.generate(machines.MODIFIED_ROW, width))
-    row_words = [mod_words if r == modified else asm_words for r in range(height)]
-    return (WniObject(n, i, SignMatrix(entries))
-            for entries in machines.backtrack(machines.TWO_ASM_COLUMN, width, row_words))
+    return (WniObject(n, i, SignMatrix(entries)) for entries in _class_members("wni", n, i))
 
 
 def wni_object_sign(obj: WniObject) -> int:

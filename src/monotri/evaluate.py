@@ -13,9 +13,12 @@ are provided and must agree wherever their domains overlap:
 * ``SIGNED_DMT_DP`` runs the sign-weighted predecessor DP over decreasing
   monotone triangle rows.
 
-Both DPs are ``enumeration.signed_count``.  The operator recursion has its
-own bounded LRU cache, keyed like the DP's by rows shifted to end in 0, so
-neither reads the other's entries and each stays an independent check.
+Both DPs are ``enumeration.signed_count``, entered through its private form
+that takes the row shape ``alpha`` has already classified, so a call
+classifies its row once.  The operator recursion has its own bounded LRU
+cache, keyed like the DP's by rows shifted to end in 0, so neither reads the
+other's entries and each stays an independent check.  Row and bound entries
+must be integers; a float or a string is refused, not truncated.
 
 All arithmetic is exact; rationals appear only inside ``refined_asm`` and
 must cancel.
@@ -29,8 +32,8 @@ from enum import Enum
 from fractions import Fraction
 
 from . import enumeration
-from .core import RowSeqClass, _dmt_bottom, classify_row_sequence
-from .enumeration import _MEMO_ENTRIES, TriangleClass, signed_count
+from .core import RowSeqClass, _dmt_bottom, _int_entries, classify_row_sequence
+from .enumeration import _MEMO_ENTRIES, TriangleClass, _signed_count
 from .errors import InternalError, InvalidInputError, ResourceLimitError
 
 DEFAULT_OP_MAX_N = 6
@@ -93,7 +96,7 @@ def sum_operator(func, k, variant: int = 5) -> int:
     a callable in len(k) - 1 integer arguments, expanding strictly by the
     chosen recursion (5 peels the last bound with an open sum, 8 with a
     closed sum and a doubled correction, 9 peels the first bound)."""
-    k = tuple(int(x) for x in k)
+    k = _int_entries(k)
     n = len(k)
     if n < 1:
         raise InvalidInputError("bound vector must be non-empty")
@@ -153,7 +156,7 @@ def alpha(
 
     The operator recursion refuses vectors beyond (op_max_n, op_max_spread).
     """
-    k = tuple(map(int, k))
+    k = tuple(k)
     shape = classify_row_sequence(k)
     if isinstance(method, str):
         try:
@@ -164,11 +167,11 @@ def alpha(
         method = _AUTO_METHOD[shape]
 
     if method is AlphaMethod.MONOTONE_DP:
-        return signed_count(k, TriangleClass.MT, "plain")
+        return _signed_count(k, TriangleClass.MT, "plain", shape)
     if method is AlphaMethod.SIGNED_DMT_DP:
         if shape is RowSeqClass.HAS_TRIPLE:
             return 0
-        return signed_count(k, TriangleClass.DMT, "sc")
+        return _signed_count(k, TriangleClass.DMT, "sc", shape)
 
     n = len(k)
     spread = max(k) - min(k)

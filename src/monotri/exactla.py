@@ -120,19 +120,6 @@ def rank_exact(m: ExactMatrix) -> int:
     return _bareiss(m.entries)[0]
 
 
-def identity_matrix(n: int) -> ExactMatrix:
-    return ExactMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-
-def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    if a.cols != b.rows:
-        raise InvalidInputError("incompatible shapes for multiplication")
-    bt = list(zip(*b.entries)) if b.entries else []
-    return ExactMatrix(
-        tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.entries)
-    )
-
-
 def mat_vec(a: ExactMatrix, v) -> tuple[int, ...]:
     v = tuple(v)
     if a.cols != len(v):

@@ -1,24 +1,25 @@
 """The four constrained-word machines over the alphabet {-1, 0, 1}.
 
-* ``asm-word``: rows/columns of ordinary ASMs (partial sums in {0,1}, final 1).
-* ``2asm-column``: columns of 2-ASMs.  Encoded with composite transitions
-  that consume two symbols at once: from partial sum 0 one may loop on 0,
-  take (1,-1), or move to partial sum 2 via (1,1); from 2 one may loop on 0,
-  take (-1,1), or return to 0 via (-1,-1).  Partial sum 1 is never a rest
-  state.
-* ``modified-row``: same transitions as ``asm-word`` but accepting at
-  partial sum 0; generates the one distinguished row of a W-object.
-* ``s1-column``: a 2-ASM column whose even-length prefixes sum to 0 or 2;
-  generates the columns of the 2-ASMs that encode structured triangles.
+A machine reads a word one symbol at a time, and its state is the partial
+sum of the symbols read so far, starting at 0.  Its table maps each partial
+sum and symbol to the next partial sum; a missing entry rejects the word.
+Two tables cover all four machines:
 
-``MACHINES`` holds the one description of each machine: its composite
-transitions plus the even-prefix rule.  Every run goes through the
-single-symbol view ``_DFAS`` derived from it, in which a two-symbol step is
-split at its partial sum (a middle state that is never a rest state).
-``accepts`` and ``parse_steps`` walk a word through it, ``reach_table``
-records which states can still reach an accept state, and ``backtrack``
-builds matrices row by row with one machine state per column, pruned by
-that table; ``generate`` is its one-column case.  Machines are immutable.
+* ``asm-word`` (rows and columns of ordinary ASMs: partial sums in {0,1},
+  final sum 1) and ``modified-row`` (the one distinguished row of a
+  W-object: the same table, final sum 0);
+* ``2asm-column`` (columns of 2-ASMs: partial sums in {0,1,2}, final sum 2)
+  and ``s1-column`` (a 2-ASM column whose even-length prefixes sum to 0 or
+  2, the columns of the 2-ASMs that encode structured triangles).  A 2-ASM
+  column never rests at partial sum 1: from there the next symbol is +-1.
+
+The paper's composite steps are the pieces of a walk cut at the rest
+states: a single symbol, or a pair through partial sum 1 in a 2-ASM column
+((1,1) and (1,-1) from 0, (-1,-1) and (-1,1) from 2).  ``accepts`` and
+``parse_steps`` walk a word through the table, ``reach_table`` records which
+states can still reach an accept state, and ``backtrack`` builds matrices
+row by row with one machine state per column, pruned by that table;
+``generate`` is its one-column case.  Machines are named by id.
 """
 
 from __future__ import annotations
@@ -26,64 +27,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import InternalError, InvalidInputError, ParseError
+from .errors import InvalidInputError, ParseError
 
 ASM_WORD = "asm-word"
 TWO_ASM_COLUMN = "2asm-column"
 MODIFIED_ROW = "modified-row"
 S1_COLUMN = "s1-column"
 
-MACHINE_IDS = (ASM_WORD, TWO_ASM_COLUMN, MODIFIED_ROW, S1_COLUMN)
-
-
-@dataclass(frozen=True)
-class Transition:
-    tag: str
-    source: int
-    symbols: tuple[int, ...]
-    target: int
-
 
 @dataclass(frozen=True)
 class MachineSpec:
     machine_id: str
-    states: frozenset
-    start: int
+    # partial sum -> symbol -> next partial sum
+    table: dict
+    # the partial sums a walk is cut at into the paper's steps
+    rest_states: frozenset
     accept: frozenset
-    transitions: tuple[Transition, ...]
     # extra predicate: even-length prefix sums restricted to this set
     even_prefix_sums: frozenset | None = None
 
 
-def _t(source, symbols, target):
-    tag = ",".join(str(s) for s in symbols) + f"@{source}"
-    return Transition(tag, source, tuple(symbols), target)
-
-
-_ASM_TRANSITIONS = (
-    _t(0, (0,), 0),
-    _t(0, (1,), 1),
-    _t(1, (0,), 1),
-    _t(1, (-1,), 0),
-)
-
-_2ASM_TRANSITIONS = (
-    _t(0, (0,), 0),
-    _t(0, (1, 1), 2),
-    _t(0, (1, -1), 0),
-    _t(2, (0,), 2),
-    _t(2, (-1, -1), 0),
-    _t(2, (-1, 1), 2),
-)
+_ASM_TABLE = {0: {0: 0, 1: 1}, 1: {0: 1, -1: 0}}
+_2ASM_TABLE = {0: {0: 0, 1: 1}, 1: {1: 2, -1: 0}, 2: {0: 2, -1: 1}}
 
 MACHINES = {
-    ASM_WORD: MachineSpec(ASM_WORD, frozenset({0, 1}), 0, frozenset({1}), _ASM_TRANSITIONS),
-    MODIFIED_ROW: MachineSpec(MODIFIED_ROW, frozenset({0, 1}), 0, frozenset({0}), _ASM_TRANSITIONS),
-    TWO_ASM_COLUMN: MachineSpec(TWO_ASM_COLUMN, frozenset({0, 2}), 0, frozenset({2}), _2ASM_TRANSITIONS),
-    S1_COLUMN: MachineSpec(
-        S1_COLUMN, frozenset({0, 2}), 0, frozenset({2}), _2ASM_TRANSITIONS,
-        even_prefix_sums=frozenset({0, 2}),
-    ),
+    ASM_WORD: MachineSpec(ASM_WORD, _ASM_TABLE, frozenset({0, 1}), frozenset({1})),
+    MODIFIED_ROW: MachineSpec(MODIFIED_ROW, _ASM_TABLE, frozenset({0, 1}), frozenset({0})),
+    TWO_ASM_COLUMN: MachineSpec(TWO_ASM_COLUMN, _2ASM_TABLE, frozenset({0, 2}), frozenset({2})),
+    S1_COLUMN: MachineSpec(S1_COLUMN, _2ASM_TABLE, frozenset({0, 2}), frozenset({2}),
+                           even_prefix_sums=frozenset({0, 2})),
 }
 
 
@@ -99,16 +71,11 @@ class StepTrace:
     sigma0_zero_loops: int
 
 
-def _spec(machine) -> MachineSpec:
-    # the derived tables (_DFAS, _ALLOWED, _STEPS) hold registered machines only
-    if isinstance(machine, MachineSpec):
-        if MACHINES.get(machine.machine_id) != machine:
-            raise InvalidInputError(f"machine {machine.machine_id!r} is not a registered machine")
-        return machine
-    try:
-        return MACHINES[machine]
-    except KeyError:
-        raise InvalidInputError(f"unknown machine id {machine!r}") from None
+def _spec(machine_id) -> MachineSpec:
+    spec = MACHINES.get(machine_id) if isinstance(machine_id, str) else None
+    if spec is None:
+        raise InvalidInputError(f"unknown machine id {machine_id!r}")
+    return spec
 
 
 def _check_word(word):
@@ -119,29 +86,26 @@ def _check_word(word):
     return word
 
 
-def _allowed(spec):
-    """The states allowed after an even and after an odd number of symbols:
-    all of the single-symbol view's, except that the even-prefix rule keeps
-    only ``spec.even_prefix_sums`` after an even number, when that is set."""
-    states = frozenset(_DFAS[spec.machine_id])
-    if spec.even_prefix_sums is None:
-        return states, states
-    return states & spec.even_prefix_sums, states
+def _allowed(spec, consumed, state) -> bool:
+    """False iff the even-prefix rule forbids ``state`` after ``consumed`` symbols."""
+    return consumed % 2 == 1 or spec.even_prefix_sums is None or state in spec.even_prefix_sums
 
 
 def _walk(spec, word):
-    """Partial sums the single-symbol view visits on ``word``, start
-    included, or None if the machine rejects the word."""
-    trans = _DFAS[spec.machine_id]
-    allowed = _ALLOWED[spec.machine_id]
-    state = spec.start
+    """Partial sums the machine visits on ``word``, start included, or None
+    if it rejects the word."""
+    table = spec.table
+    state = 0
     path = [state]
-    for consumed, sym in enumerate(word, start=1):
-        state = trans[state].get(sym)
-        if state not in allowed[consumed % 2]:
+    for sym in word:
+        state = table[state].get(sym)
+        if state is None:
             return None
         path.append(state)
-    return path if state in spec.accept else None
+    even = spec.even_prefix_sums
+    if state not in spec.accept or not (even is None or even.issuperset(path[2::2])):
+        return None
+    return path
 
 
 def accepts(machine, word) -> bool:
@@ -151,72 +115,16 @@ def accepts(machine, word) -> bool:
 
 def parse_steps(machine, word) -> StepTrace:
     """Unique step decomposition of an accepted word: the walk cut at the
-    rest states, each piece one transition."""
+    rest states, each piece tagged ``"symbols@source"``."""
     spec = _spec(machine)
     word = _check_word(word)
     path = _walk(spec, word)
     if path is None:
         raise ParseError(f"word {word!r} rejected by {spec.machine_id}")
-    by_step = _STEPS[spec.machine_id]
-    tags = []
-    zero_loops = 0
-    cut = 0
-    for i in range(1, len(path)):
-        if path[i] in spec.states:
-            tr = by_step[path[cut], word[cut:i]]
-            tags.append(tr.tag)
-            if tr.source == 0 and tr.symbols == (0,):
-                zero_loops += 1
-            cut = i
-    return StepTrace(tuple(tags), zero_loops)
-
-
-def replay(machine, tags):
-    """Re-run a step trace; returns (word, end state)."""
-    spec = _spec(machine)
-    by_tag = {tr.tag: tr for tr in spec.transitions}
-    state = spec.start
-    word = []
-    for tag in tags:
-        tr = by_tag.get(tag)
-        if tr is None or tr.source != state:
-            raise ParseError(f"step {tag!r} not applicable at state {state}")
-        word.extend(tr.symbols)
-        state = tr.target
-    return tuple(word), state
-
-
-def _single_symbol_dfa(spec):
-    """Split each two-symbol transition (s0, s1) at the partial sum
-    source + s0, which names its middle state; for the 2-ASM column machine
-    partial sum 1 then only allows an immediate +-1 (no rest at 1).  A middle
-    state must not be a rest state, so that cutting a walk at the rest states
-    recovers its transitions."""
-    table = {}
-
-    def add(source, symbol, target):
-        if table.setdefault(source, {}).setdefault(symbol, target) != target:
-            raise InternalError(f"{spec.machine_id}: two targets for {symbol} at {source}")
-
-    for tr in spec.transitions:
-        if len(tr.symbols) == 1:
-            add(tr.source, tr.symbols[0], tr.target)
-        else:
-            s0, s1 = tr.symbols
-            middle = tr.source + s0
-            if middle in spec.states:
-                raise InternalError(
-                    f"{spec.machine_id}: middle state {middle} of {tr.tag} is a rest state")
-            add(tr.source, s0, middle)
-            add(middle, s1, tr.target)
-    return table
-
-
-_DFAS = {mid: _single_symbol_dfa(spec) for mid, spec in MACHINES.items()}
-_ALLOWED = {mid: _allowed(spec) for mid, spec in MACHINES.items()}
-# each machine's transitions by (source, symbols), to name a walk's pieces
-_STEPS = {mid: {(tr.source, tr.symbols): tr for tr in spec.transitions}
-          for mid, spec in MACHINES.items()}
+    cuts = [i for i, state in enumerate(path) if state in spec.rest_states]
+    symbols = list(map(str, word))
+    tags = tuple([f"{','.join(symbols[a:b])}@{path[a]}" for a, b in zip(cuts, cuts[1:])])
+    return StepTrace(tags, tags.count("0@0"))
 
 
 def reach_table(machine, length: int):
@@ -224,12 +132,11 @@ def reach_table(machine, length: int):
     ``r`` more symbols, given ``length - r`` symbols already consumed; a state
     the even-prefix rule forbids there reaches nothing."""
     spec = _spec(machine)
-    trans = _DFAS[spec.machine_id]
-    allowed = _ALLOWED[spec.machine_id]
-    table = [{s: s in spec.accept and s in allowed[length % 2] for s in trans}]
+    trans = spec.table
+    table = [{s: s in spec.accept and _allowed(spec, length, s) for s in trans}]
     for r in range(1, length + 1):
-        after, ok = table[-1], allowed[(length - r) % 2]
-        table.append({s: s in ok and any(map(after.__getitem__, out.values()))
+        after = table[-1]
+        table.append({s: _allowed(spec, length - r, s) and any(map(after.__getitem__, out.values()))
                       for s, out in trans.items()})
     return table
 
@@ -240,11 +147,10 @@ def backtrack(column_machine, width: int, row_words):
     tuples of rows in row-major lexicographic order of the word lists.
     Each column carries its machine state; a row is refused as soon as one
     column could no longer reach an accept state in the rows left."""
-    spec = _spec(column_machine)
-    trans = _DFAS[spec.machine_id]
+    trans = _spec(column_machine).table
     height = len(row_words)
-    table = reach_table(spec, height)
-    if width and not table[height][spec.start]:
+    table = reach_table(column_machine, height)
+    if width and not table[height][0]:
         return
 
     def rec(r, col_states, acc):
@@ -264,7 +170,7 @@ def backtrack(column_machine, width: int, row_words):
                 yield from rec(r + 1, nxt, acc)
                 acc.pop()
 
-    yield from rec(0, [spec.start] * width, [])
+    yield from rec(0, [0] * width, [])
 
 
 def generate(machine, length: int):

@@ -13,7 +13,9 @@ are reconstructed here by interval collapse from the two adjacent even rows.
 
 Every triangle argument is checked once, by ``_kind_params``: a valid
 triangle of the given kind on its standard bottom row, (1..n) or
-(n, n, ..., 1, 1).  The S1 functions use the DMT kind of that check.
+(n, n, ..., 1, 1).  The S1 functions use the DMT kind of that check.  Every
+matrix argument is checked against the one description of its class in
+``enumeration``, which names the machines that read its rows and columns.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from collections import Counter
 from enum import Enum
 
-from . import machines
 from .core import (
     SignMatrix,
     TriangularArray,
@@ -31,6 +32,7 @@ from .core import (
     validate_dmt,
     validate_monotone,
 )
+from .enumeration import _check_member
 from .errors import AmbiguityError, InternalError, InvalidInputError
 
 
@@ -77,32 +79,13 @@ def triangle_to_matrix(t: TriangularArray, kind: BijectionKind) -> SignMatrix:
     return SignMatrix(tuple(out))
 
 
-def _validate_matrix(m: SignMatrix, kind: BijectionKind) -> int:
-    if kind is BijectionKind.MT_ASM:
-        if m.rows != m.cols:
-            raise InvalidInputError("an ASM must be square")
-        n = m.rows
-        col_machine = machines.ASM_WORD
-    else:
-        if m.cols == 0 or m.rows != 2 * m.cols:
-            raise InvalidInputError("a 2-ASM of size n must be (2n) x n")
-        n = m.cols
-        col_machine = machines.TWO_ASM_COLUMN
-    for row in m.entries:
-        if not machines.accepts(machines.ASM_WORD, row):
-            raise InvalidInputError(f"row {row} is not an ASM word")
-    for col in m.columns():
-        if not machines.accepts(col_machine, col):
-            raise InvalidInputError(f"column {col} rejected by {col_machine}")
-    return n
-
-
 def matrix_to_triangle(m: SignMatrix, kind: BijectionKind) -> TriangularArray:
     """Inverse of ``triangle_to_matrix``: row i lists the values 1..n, in
     ascending order for an ASM and descending order for a 2-ASM, each
     repeated by the i-th partial sum of its column."""
-    n = _validate_matrix(m, kind)
     mt = kind is BijectionKind.MT_ASM
+    n = m.rows if mt else m.cols
+    _check_member(m, "asm" if mt else "2asm", n)
     values = range(1, n + 1) if mt else range(n, 0, -1)
     rows = []
     totals = [0] * n

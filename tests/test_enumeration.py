@@ -23,23 +23,40 @@ from monotri import (
     validate_monotone,
     wni_object_sign,
 )
-from monotri.enumeration import WniObject
+from monotri.enumeration import WniObject, is_valid_wni
 from monotri.machines import ASM_WORD, MODIFIED_ROW, TWO_ASM_COLUMN, accepts
+from monotri.transform import BijectionKind, matrix_to_triangle
 
 from golden import ASM_COUNTS, DMTS_63321, W43_MATRIX, dmt_bottom, mt_bottom
+from test_machines import _asm_word_prose, _modified_row_prose, _two_asm_prose
 
 
-def brute_matrices(kind, n):
-    """Filtered brute force over all {-1,0,1} assignments; oracle for the
-    backtracking enumerator at tiny sizes."""
-    height, column_machine = (n, ASM_WORD) if kind == "asm" else (2 * n, TWO_ASM_COLUMN)
-    rows_pool = list(product((-1, 0, 1), repeat=n))
-    for entries in product(rows_pool, repeat=height):
-        if not all(accepts(ASM_WORD, row) for row in entries):
-            continue
-        m = SignMatrix(entries)
-        if all(accepts(column_machine, col) for col in m.columns()):
-            yield m
+def prose_class(kind, n, i=None):
+    """The prose predicate of each row and of every column, and the width,
+    of a matrix class: the classes described without the machines."""
+    if kind == "asm":
+        return [_asm_word_prose] * n, _asm_word_prose, n
+    if kind == "2asm":
+        return [_asm_word_prose] * (2 * n), _two_asm_prose, n
+    rows = [_asm_word_prose] * (2 * n - 1)
+    rows[2 * n - i - 1] = _modified_row_prose
+    return rows, _two_asm_prose, n - 1
+
+
+def brute_matrices(kind, n, i=None):
+    """Members and non-members of a matrix class, by brute force over
+    {-1,0,1} words judged by the prose predicates: every matrix whose rows
+    pass them, split by its columns, then every member with one row swapped
+    for a word that row's predicate refuses.  Members come in row-major
+    lexicographic order."""
+    row_preds, col_pred, width = prose_class(kind, n, i)
+    words = list(product((-1, 0, 1), repeat=width))
+    members, non_members = [], []
+    for entries in product(*[[w for w in words if p(w)] for p in row_preds]):
+        (members if all(map(col_pred, zip(*entries))) else non_members).append(entries)
+    non_members += [m[:r] + (w,) + m[r + 1:] for m in members
+                    for r, p in enumerate(row_preds) for w in words if not p(w)]
+    return [SignMatrix(e) for e in members], [SignMatrix(e) for e in non_members]
 
 
 def test_predecessors_figure_rows():
@@ -218,11 +235,25 @@ def test_enum_matrices_counts():
 
 
 def test_enum_matrices_against_brute_force():
-    for kind, sizes in (("asm", (1, 2, 3)), ("2asm", (1, 2))):
-        for n in sizes:
-            fast = list(enum_matrices(kind, n))
-            slow = list(brute_matrices(kind, n))
-            assert fast == slow, (kind, n)
+    classes = [(kind, n, None) for kind in ("asm", "2asm") for n in (1, 2, 3)]
+    classes += [("wni", n, i) for n in (1, 2, 3) for i in range(1, 2 * n)]
+    for kind, n, i in classes:
+        members, non_members = brute_matrices(kind, n, i)
+        # the one 1 x 0 matrix is the W-object for (1, 1)
+        assert non_members or (kind, n) == ("wni", 1), (kind, n, i)
+        if kind == "wni":
+            objects = list(enum_wni_objects(n, i))
+            assert [o.matrix for o in objects] == members, (n, i)
+            assert all(is_valid_wni(o) for o in objects)
+            assert not any(is_valid_wni(WniObject(n, i, m)) for m in non_members), (n, i)
+            continue
+        bkind = BijectionKind.MT_ASM if kind == "asm" else BijectionKind.DMT_2ASM
+        assert list(enum_matrices(kind, n)) == members, (kind, n)
+        for m in members:
+            matrix_to_triangle(m, bkind)
+        for m in non_members:
+            with pytest.raises(InvalidInputError):
+                matrix_to_triangle(m, bkind)
 
 
 def test_enum_matrices_order_and_validity():
@@ -305,8 +336,15 @@ def test_enum_matrices_errors():
     lambda: predecessors((2, 1), TriangleClass.MT),
     lambda: predecessors((2, 2, 2), TriangleClass.DMT),
     lambda: predecessors((5,), TriangleClass.DMT),
+    lambda: enum_triangles((1.5, 3), TriangleClass.MT),
+    lambda: enum_triangles(("3", "3", "1", "1"), TriangleClass.DMT),
+    lambda: predecessors((1.5, 3), TriangleClass.MT),
+    lambda: signed_count((1.5, 3), TriangleClass.MT, "plain"),
+    lambda: signed_count((3.0, 3.0, 1.0, 1.0), TriangleClass.DMT, "sc"),
 ], ids=["mt-row", "empty-row", "asm-size", "kind", "wni-index",
-        "predecessors-mt-row", "predecessors-triple", "predecessors-short"])
+        "predecessors-mt-row", "predecessors-triple", "predecessors-short",
+        "float-row", "str-row", "predecessors-float-row", "count-float-row",
+        "count-integral-float-row"])
 def test_enum_rejects_bad_arguments_at_the_call(call):
     # the stream is never pulled
     with pytest.raises(InvalidInputError):

@@ -157,6 +157,21 @@ def test_sum_operator_arity_errors():
         sum_operator(lambda a: a, (1, 2), 7)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: alpha((0.5, 2.9)),
+    lambda: alpha(("1", "3")),
+    lambda: alpha((2.0, 3.0), AlphaMethod.OPERATOR_RECURSION),
+    lambda: alpha((3, 1.5), AlphaMethod.SIGNED_DMT_DP),
+    lambda: sum_operator(lambda a: 1, (0.5, 2)),
+    lambda: sum_operator(lambda a: 1, ("0", "2")),
+], ids=["alpha-float", "alpha-str", "alpha-integral-float", "alpha-dmt-float",
+        "sum-operator-float", "sum-operator-str"])
+def test_non_integer_entries_rejected(call):
+    # not truncated to integers, and not a bare TypeError from deep inside
+    with pytest.raises(InvalidInputError):
+        call()
+
+
 # alpha ----------------------------------------------------------------------
 
 def test_alpha_goldens():
@@ -262,6 +277,25 @@ def test_operator_recursion_never_reads_dp_entries(monkeypatch):
             monkeypatch.undo()
     finally:
         evaluate.clear_caches()
+
+
+def test_warm_alpha_classifies_its_row_once(monkeypatch):
+    rows = [((7,) + dmt_bottom(6), "dmt"), ((1, 3, 4, 7, 9), "mt"), ((3, 3, 3, 1), "dmt")]
+    want = [alpha(k, method) for k, method in rows]  # warms the memo
+    seen = []
+    classify = enumeration.classify_row_sequence
+
+    def counting(k):
+        seen.append(tuple(k))
+        return classify(k)
+
+    monkeypatch.setattr(evaluate, "classify_row_sequence", counting)
+    monkeypatch.setattr(enumeration, "classify_row_sequence", counting)
+    for (k, method), value in zip(rows, want):
+        seen.clear()
+        assert alpha(k, method) == value
+        assert seen == [k], (k, method)
+    assert want[2] == 0
 
 
 def test_alpha_vanishes_on_triples():

@@ -13,10 +13,21 @@ from monotri import (
     rank_exact,
     refined_asm,
 )
-from monotri.exactla import identity_matrix, mat_mul, mat_vec
+from monotri.exactla import mat_vec
 from monotri.evaluate import binomial
 
 from golden import ASM_COUNTS
+
+
+def identity_matrix(n):
+    return ExactMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+
+def mat_mul(a, b):
+    bt = list(zip(*b.entries)) if b.entries else []
+    return ExactMatrix(
+        tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.entries)
+    )
 
 
 def det_cofactor(rows):

@@ -4,9 +4,7 @@ from itertools import product
 import pytest
 
 from monotri import (
-    InternalError,
     InvalidInputError,
-    MachineSpec,
     ParseError,
     accepts,
     generate,
@@ -18,11 +16,8 @@ from monotri.machines import (
     MODIFIED_ROW,
     S1_COLUMN,
     TWO_ASM_COLUMN,
-    _single_symbol_dfa,
-    _t,
     backtrack,
     reach_table,
-    replay,
 )
 
 from golden import TWOASM_5
@@ -116,6 +111,34 @@ def test_parse_steps_goldens():
         parse_steps(ASM_WORD, (1, -1))
 
 
+# The paper's composite steps of each machine, tag -> (source, symbols, target):
+# a second description, written out by hand, that every parsed step is
+# replayed against.
+_ASM_STEPS = {
+    "0@0": (0, (0,), 0), "1@0": (0, (1,), 1),
+    "0@1": (1, (0,), 1), "-1@1": (1, (-1,), 0),
+}
+_TWO_ASM_STEPS = {
+    "0@0": (0, (0,), 0), "1,1@0": (0, (1, 1), 2), "1,-1@0": (0, (1, -1), 0),
+    "0@2": (2, (0,), 2), "-1,-1@2": (2, (-1, -1), 0), "-1,1@2": (2, (-1, 1), 2),
+}
+PAPER_STEPS = {ASM_WORD: _ASM_STEPS, MODIFIED_ROW: _ASM_STEPS,
+               TWO_ASM_COLUMN: _TWO_ASM_STEPS, S1_COLUMN: _TWO_ASM_STEPS}
+
+
+def replay(machine, tags):
+    """Re-run a step trace through the paper's steps, from partial sum 0;
+    returns (word, end state, 0-loops taken at 0)."""
+    state, word, zero_loops = 0, [], 0
+    for tag in tags:
+        source, symbols, target = PAPER_STEPS[machine][tag]
+        assert source == state, (tag, state)
+        word.extend(symbols)
+        zero_loops += tag == "0@0"
+        state = target
+    return tuple(word), state, zero_loops
+
+
 @pytest.mark.parametrize("machine", [ASM_WORD, TWO_ASM_COLUMN, MODIFIED_ROW, S1_COLUMN])
 @pytest.mark.parametrize("length", range(0, 9))
 def test_parse_roundtrip(machine, length):
@@ -123,11 +146,10 @@ def test_parse_roundtrip(machine, length):
         if not accepts(machine, w):
             continue
         trace = parse_steps(machine, w)
-        word, state = replay(machine, trace.steps)
+        word, state, zero_loops = replay(machine, trace.steps)
         assert word == w
-        from monotri.machines import MACHINES
-
         assert state in MACHINES[machine].accept
+        assert trace.sigma0_zero_loops == zero_loops
 
 
 def test_generate_goldens():
@@ -144,25 +166,13 @@ def test_generate_against_filter_oracle(machine, length):
     assert list(generate(machine, length)) == expected
 
 
-def test_single_symbol_view_rejects_clashing_middle_states():
-    # both split at partial sum 1, where a 1 must lead to 2 for (1,1) but to 0 for (-1,1)
-    clash = MachineSpec("clash", frozenset({0, 2}), 0, frozenset({2}),
-                        (_t(0, (1, 1), 2), _t(2, (-1, 1), 0)))
-    # (1,1) splits at partial sum 1, a rest state, so a walk cut at the rest
-    # states would read it as two steps
-    rest_middle = MachineSpec("rest-middle", frozenset({0, 1, 2}), 0, frozenset({2}),
-                              (_t(0, (1, 1), 2), _t(1, (0,), 1)))
-    for spec in (clash, rest_middle):
-        with pytest.raises(InternalError):
-            _single_symbol_dfa(spec)
-
-
 @pytest.mark.parametrize("change", [
     {"machine_id": "copy"},
     {"accept": frozenset({0})},
-], ids=["unknown-id", "changed-spec"])
+    {},
+], ids=["unknown-id", "changed-spec", "registered-copy"])
 def test_unregistered_spec_rejected(change):
-    # the runners' derived tables exist for the registered machines only
+    # machines are named by id; a spec object is refused, even an unchanged one
     spec = dataclasses.replace(MACHINES[ASM_WORD], **change)
     for call in (lambda: accepts(spec, (1,)),
                  lambda: parse_steps(spec, (1,)),
