@@ -2,12 +2,18 @@
 and the sign statistics used by the signed enumerations.
 
 Conventions: triangles are stored top row first, row ``i`` (1-based) has
-exactly ``i`` entries.  All values are plain Python ints, so every statistic
-and count is exact.  All types are immutable and all functions are pure.
+exactly ``i`` entries.  All types are immutable and all functions are pure.
+
+The integer rule is stated here only: a value is an integer iff its type is
+exactly ``int``; bools, floats, strings and numpy scalars are refused with
+``InvalidInputError``, never truncated.  The carriers (``TriangularArray``,
+``SignMatrix``, ``exactla.ExactMatrix``) apply it to every entry when built,
+``_int_entries`` to a row and ``_check_size`` to every size and index.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -30,8 +36,9 @@ class TriangularArray:
         for i, row in enumerate(rows, start=1):
             if len(row) != i:
                 raise InvalidInputError(f"row {i} has {len(row)} entries, expected {i}")
-            if not all(isinstance(x, int) for x in row):
-                raise InvalidInputError(f"row {i} has a non-integer entry")
+            for x in row:
+                if type(x) is not int:
+                    raise InvalidInputError(f"row {i} has a non-integer entry {x!r}")
 
     @property
     def n(self) -> int:
@@ -61,8 +68,8 @@ class SignMatrix:
             if len(row) != width:
                 raise InvalidInputError(f"row {r + 1} has {len(row)} entries, expected {width}")
             for c, x in enumerate(row):
-                if x not in (-1, 0, 1):
-                    raise InvalidInputError(f"entry ({r + 1},{c + 1}) = {x} not in {{-1,0,1}}")
+                if type(x) is not int or not -1 <= x <= 1:
+                    raise InvalidInputError(f"row {r + 1} column {c + 1}: {x!r} not in {{-1,0,1}}")
 
     @property
     def rows(self) -> int:
@@ -119,16 +126,31 @@ def has_triple(k) -> bool:
     return any(map(operator.eq, s, s[2:]))
 
 
+def _is_int(x) -> bool:
+    """The integer rule, for checks outside the carriers."""
+    return type(x) is int
+
+
 def _int_entries(k) -> tuple[int, ...]:
-    """``k`` as a tuple whose entries are all integers; an entry that is not,
-    such as a float or a string, is refused rather than truncated."""
+    """``k`` as a tuple whose entries are all integers."""
     k = tuple(k)
-    try:
-        for x in k:
-            operator.index(x)
-    except TypeError:
-        raise InvalidInputError(f"entry {x!r} is not an integer") from None
+    for x in k:
+        if type(x) is not int:
+            raise InvalidInputError(f"entry {x!r} is not an integer")
     return k
+
+
+def _check_size(x, name: str, lo: int = 0, hi: float = math.inf) -> None:
+    """The one check on sizes and indices: InvalidInputError unless ``x`` is
+    an integer in ``[lo, hi]``."""
+    if type(x) is not int or not lo <= x <= hi:
+        raise InvalidInputError(f"{name} must be an integer in [{lo}, {hi}], got {x!r}")
+
+
+def _check_wni(n, i) -> None:
+    """The parameters of W(n, i) and of its W-objects: 1 <= i <= 2n-1."""
+    _check_size(n, "n", 1)
+    _check_size(i, "i", 1, 2 * n - 1)
 
 
 def classify_row_sequence(k) -> RowSeqClass:

@@ -18,7 +18,8 @@ that reads every column, and the width.  ``enum_matrices`` and
 ``enum_wni_objects`` run ``machines.backtrack`` from it, over the row words
 of ``machines.generate``, in row-major lexicographic order with
 -1 < 0 < 1; ``is_valid_wni`` and ``transform.matrix_to_triangle`` check
-membership against it.
+membership against it, and ``wni_object_sign`` counts steps along the
+column walks that check returns.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .core import (
     RowSeqClass,
     SignMatrix,
     TriangularArray,
+    _check_size,
+    _check_wni,
     _pair_values,
     classify_row_sequence,
     validate_dmt,
@@ -200,15 +203,13 @@ def _matrix_class(kind: str, n: int, i: int | None = None):
     the n x n ASMs; ``2asm``: the 2n x n 2-ASMs; ``wni`` with ``i``: the
     (2n-1) x (n-1) W-objects for (n, i), whose row 2n-i (1-based) is the
     modified row."""
-    if n < 1:
-        raise InvalidInputError("n must be positive")
+    _check_size(n, "n", 1)
     if kind == "asm":
         return (machines.ASM_WORD,) * n, machines.ASM_WORD, n
     if kind == "2asm":
         return (machines.ASM_WORD,) * (2 * n), machines.TWO_ASM_COLUMN, n
     if kind == "wni" and i is not None:
-        if not 1 <= i <= 2 * n - 1:
-            raise InvalidInputError(f"need 1 <= i <= 2n-1, got n={n}, i={i}")
+        _check_wni(n, i)
         rows = [machines.ASM_WORD] * (2 * n - 1)
         rows[2 * n - i - 1] = machines.MODIFIED_ROW
         return tuple(rows), machines.TWO_ASM_COLUMN, n - 1
@@ -223,18 +224,20 @@ def _class_members(kind, n, i=None):
     return machines.backtrack(column_machine, width, [words[m] for m in row_machines])
 
 
-def _check_member(m: SignMatrix, kind: str, n: int, i: int | None = None) -> None:
-    """Raise InvalidInputError unless ``m`` belongs to the class."""
+def _check_member(m: SignMatrix, kind: str, n: int, i: int | None = None) -> list:
+    """The column machine's walk down each column of ``m``; InvalidInputError
+    unless ``m`` belongs to the class."""
     row_machines, column_machine, width = _matrix_class(kind, n, i)
     if (m.rows, m.cols) != (len(row_machines), width):
         raise InvalidInputError(
             f"a {kind} matrix for n={n} is {len(row_machines)} x {width}, got {m.rows} x {m.cols}")
     for machine, row in zip(row_machines, m.entries):
-        if not machines.accepts(machine, row):
+        if machines._walk(machines.MACHINES[machine], row) is None:
             raise InvalidInputError(f"row {row} rejected by {machine}")
-    for col in m.columns():
-        if not machines.accepts(column_machine, col):
-            raise InvalidInputError(f"column {col} rejected by {column_machine}")
+    walks = [machines._walk(machines.MACHINES[column_machine], col) for col in m.columns()]
+    if None in walks:
+        raise InvalidInputError(f"column {walks.index(None) + 1} rejected by {column_machine}")
+    return walks
 
 
 def enum_matrices(kind: str, n: int):
@@ -267,11 +270,11 @@ def enum_wni_objects(n: int, i: int):
 
 def wni_object_sign(obj: WniObject) -> int:
     """(-1)^(i + n + E) where E is the total number of column machine steps
-    excluding the 0-loops taken at partial sum 0."""
-    if not is_valid_wni(obj):
-        raise InvalidInputError("not a valid W-object")
+    excluding the 0-loops taken at partial sum 0, counted along the column
+    walks of the membership check with ``parse_steps``'s rest test."""
+    table = machines.MACHINES[machines.TWO_ASM_COLUMN].table
     edges = 0
-    for col in obj.matrix.columns():
-        trace = machines.parse_steps(machines.TWO_ASM_COLUMN, col)
-        edges += len(trace.steps) - trace.sigma0_zero_loops
+    for walk in _check_member(obj.matrix, "wni", obj.n, obj.i):
+        loops = sum(1 for a, b in zip(walk, walk[1:]) if a == b == 0)
+        edges += len(machines._rests(table, walk)) - 1 - loops
     return -1 if (obj.i + obj.n + edges) % 2 else 1

@@ -17,8 +17,8 @@ Both DPs are ``enumeration.signed_count``, entered through its private form
 that takes the row shape ``alpha`` has already classified, so a call
 classifies its row once.  The operator recursion has its own bounded LRU
 cache, keyed like the DP's by rows shifted to end in 0, so neither reads the
-other's entries and each stays an independent check.  Row and bound entries
-must be integers; a float or a string is refused, not truncated.
+other's entries and each stays an independent check.  Row and bound
+entries, sizes and indices must be integers by ``core``'s rule.
 
 All arithmetic is exact; rationals appear only inside ``refined_asm`` and
 must cancel.
@@ -32,7 +32,14 @@ from enum import Enum
 from fractions import Fraction
 
 from . import enumeration
-from .core import RowSeqClass, _dmt_bottom, _int_entries, classify_row_sequence
+from .core import (
+    RowSeqClass,
+    _check_size,
+    _check_wni,
+    _dmt_bottom,
+    _int_entries,
+    classify_row_sequence,
+)
 from .enumeration import _MEMO_ENTRIES, TriangleClass, _signed_count
 from .errors import InternalError, InvalidInputError, ResourceLimitError
 
@@ -42,6 +49,7 @@ DEFAULT_OP_MAX_SPREAD = 12
 
 def binomial(a: int, b: int) -> int:
     """Generalized binomial: arbitrary integer upper argument, 0 for b < 0."""
+    a, b = _int_entries((a, b))
     if b < 0:
         return 0
     num = 1
@@ -186,8 +194,7 @@ def alpha(
 def forward_difference_power(g, i: int, x: int, backward: bool = False) -> int:
     """i-th forward difference of g at x via the binomial expansion; with
     ``backward`` the backward operator instead."""
-    if i < 0:
-        raise InvalidInputError("difference order must be non-negative")
+    _check_size(i, "i")
     if backward:
         return sum(binomial(i, j) * (-1) ** j * g(x - j) for j in range(i + 1))
     return sum(binomial(i, j) * (-1) ** (i - j) * g(x + j) for j in range(i + 1))
@@ -196,8 +203,8 @@ def forward_difference_power(g, i: int, x: int, backward: bool = False) -> int:
 def refined_asm(n: int, i: int) -> int:
     """Number of size-n ASMs whose first row has its unique 1 in column i,
     by the closed product formula (rational intermediates must cancel)."""
-    if n < 1 or not 1 <= i <= n:
-        raise InvalidInputError(f"need 1 <= i <= n, got n={n}, i={i}")
+    _check_size(n, "n", 1)
+    _check_size(i, "i", 1, n)
     value = Fraction(binomial(n + i - 2, n - 1))
     value *= Fraction(math.factorial(2 * n - i - 1), math.factorial(n - i))
     for j in range(n - 1):
@@ -210,8 +217,7 @@ def refined_asm(n: int, i: int) -> int:
 def W_number(n: int, i: int) -> int:
     """(i-1)-st forward difference, at k1 = n, of alpha over bottom rows
     (k1, n-1, n-1, ..., 1, 1); every evaluated row is weakly decreasing."""
-    if n < 1 or not 1 <= i <= 2 * n - 1:
-        raise InvalidInputError(f"need 1 <= i <= 2n-1, got n={n}, i={i}")
+    _check_wni(n, i)
     tail = _dmt_bottom(n - 1)
 
     def g(x):
@@ -224,8 +230,7 @@ def X_number(n: int, i: int) -> int:
     """Signed binomial combination of the refined ASM numbers; the closed
     form that the W numbers must match.  Terms beyond l = n are absent
     (the refined count vanishes there)."""
-    if n < 1 or not 1 <= i <= 2 * n - 1:
-        raise InvalidInputError(f"need 1 <= i <= 2n-1, got n={n}, i={i}")
+    _check_wni(n, i)
     total = 0
     for l in range(1, min(i, n) + 1):
         sign = -1 if (n + i + l - 1) % 2 else 1

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import _check_size, _int_entries
 from .errors import InvalidInputError
 from .evaluate import binomial
 
@@ -18,7 +19,7 @@ class ExactMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        entries = tuple(tuple(int(x) for x in row) for row in self.entries)
+        entries = tuple(_int_entries(row) for row in self.entries)
         object.__setattr__(self, "entries", entries)
         if entries:
             width = len(entries[0])
@@ -43,8 +44,7 @@ def build_matrix(kind: str, n: int) -> ExactMatrix:
     behrend: n x n with entry C(i+j, j) - [i = j+1], 0-based.
     """
     kind = kind.lower()
-    if n < 1:
-        raise InvalidInputError("n must be positive")
+    _check_size(n, "n", 1)
     if kind == "behrend":
         return ExactMatrix(
             tuple(

@@ -10,16 +10,18 @@ Two tables cover all four machines:
   W-object: the same table, final sum 0);
 * ``2asm-column`` (columns of 2-ASMs: partial sums in {0,1,2}, final sum 2)
   and ``s1-column`` (a 2-ASM column whose even-length prefixes sum to 0 or
-  2, the columns of the 2-ASMs that encode structured triangles).  A 2-ASM
-  column never rests at partial sum 1: from there the next symbol is +-1.
+  2, the columns of the 2-ASMs that encode structured triangles).
 
-The paper's composite steps are the pieces of a walk cut at the rest
-states: a single symbol, or a pair through partial sum 1 in a 2-ASM column
-((1,1) and (1,-1) from 0, (-1,-1) and (-1,1) from 2).  ``accepts`` and
-``parse_steps`` walk a word through the table, ``reach_table`` records which
-states can still reach an accept state, and ``backtrack`` builds matrices
-row by row with one machine state per column, pruned by that table;
-``generate`` is its one-column case.  Machines are named by id.
+A walk rests at a partial sum that has a 0-loop (``table[s].get(0) == s``):
+0 and 1 in the ASM table, 0 and 2 in the 2-ASM table, whose partial sum 1
+has none, since from there the next symbol is +-1.  The paper's composite
+steps are the pieces of a walk cut where it rests: a single symbol, or a
+pair through partial sum 1 in a 2-ASM column ((1,1) and (1,-1) from 0,
+(-1,-1) and (-1,1) from 2).  ``accepts`` and ``parse_steps`` walk a word
+through the table, ``reach_table`` records which states can still reach an
+accept state, and ``backtrack`` builds matrices row by row with one machine
+state per column, pruned by that table; ``generate`` is its one-column
+case.  Machines are named by id.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
+from .core import _check_size, _is_int
 from .errors import InvalidInputError, ParseError
 
 ASM_WORD = "asm-word"
@@ -40,8 +43,6 @@ class MachineSpec:
     machine_id: str
     # partial sum -> symbol -> next partial sum
     table: dict
-    # the partial sums a walk is cut at into the paper's steps
-    rest_states: frozenset
     accept: frozenset
     # extra predicate: even-length prefix sums restricted to this set
     even_prefix_sums: frozenset | None = None
@@ -51,10 +52,10 @@ _ASM_TABLE = {0: {0: 0, 1: 1}, 1: {0: 1, -1: 0}}
 _2ASM_TABLE = {0: {0: 0, 1: 1}, 1: {1: 2, -1: 0}, 2: {0: 2, -1: 1}}
 
 MACHINES = {
-    ASM_WORD: MachineSpec(ASM_WORD, _ASM_TABLE, frozenset({0, 1}), frozenset({1})),
-    MODIFIED_ROW: MachineSpec(MODIFIED_ROW, _ASM_TABLE, frozenset({0, 1}), frozenset({0})),
-    TWO_ASM_COLUMN: MachineSpec(TWO_ASM_COLUMN, _2ASM_TABLE, frozenset({0, 2}), frozenset({2})),
-    S1_COLUMN: MachineSpec(S1_COLUMN, _2ASM_TABLE, frozenset({0, 2}), frozenset({2}),
+    ASM_WORD: MachineSpec(ASM_WORD, _ASM_TABLE, frozenset({1})),
+    MODIFIED_ROW: MachineSpec(MODIFIED_ROW, _ASM_TABLE, frozenset({0})),
+    TWO_ASM_COLUMN: MachineSpec(TWO_ASM_COLUMN, _2ASM_TABLE, frozenset({2})),
+    S1_COLUMN: MachineSpec(S1_COLUMN, _2ASM_TABLE, frozenset({2}),
                            even_prefix_sums=frozenset({0, 2})),
 }
 
@@ -81,7 +82,7 @@ def _spec(machine_id) -> MachineSpec:
 def _check_word(word):
     word = tuple(word)
     for s in word:
-        if s not in (-1, 0, 1):
+        if not (_is_int(s) and -1 <= s <= 1):
             raise InvalidInputError(f"symbol {s!r} not in {{-1,0,1}}")
     return word
 
@@ -89,6 +90,11 @@ def _check_word(word):
 def _allowed(spec, consumed, state) -> bool:
     """False iff the even-prefix rule forbids ``state`` after ``consumed`` symbols."""
     return consumed % 2 == 1 or spec.even_prefix_sums is None or state in spec.even_prefix_sums
+
+
+def _rests(table, path) -> list[int]:
+    """The positions along a walk where it rests; the steps lie between them."""
+    return [j for j, state in enumerate(path) if table[state].get(0) == state]
 
 
 def _walk(spec, word):
@@ -114,14 +120,14 @@ def accepts(machine, word) -> bool:
 
 
 def parse_steps(machine, word) -> StepTrace:
-    """Unique step decomposition of an accepted word: the walk cut at the
-    rest states, each piece tagged ``"symbols@source"``."""
+    """Unique step decomposition of an accepted word: the walk cut where it
+    rests, each piece tagged ``"symbols@source"``."""
     spec = _spec(machine)
     word = _check_word(word)
     path = _walk(spec, word)
     if path is None:
         raise ParseError(f"word {word!r} rejected by {spec.machine_id}")
-    cuts = [i for i, state in enumerate(path) if state in spec.rest_states]
+    cuts = _rests(spec.table, path)
     symbols = list(map(str, word))
     tags = tuple([f"{','.join(symbols[a:b])}@{path[a]}" for a, b in zip(cuts, cuts[1:])])
     return StepTrace(tags, tags.count("0@0"))
@@ -132,6 +138,7 @@ def reach_table(machine, length: int):
     ``r`` more symbols, given ``length - r`` symbols already consumed; a state
     the even-prefix rule forbids there reaches nothing."""
     spec = _spec(machine)
+    _check_size(length, "length")
     trans = spec.table
     table = [{s: s in spec.accept and _allowed(spec, length, s) for s in trans}]
     for r in range(1, length + 1):
@@ -176,7 +183,6 @@ def backtrack(column_machine, width: int, row_words):
 def generate(machine, length: int):
     """All accepted words of the given length, lexicographic (-1 < 0 < 1):
     the one-column case of ``backtrack``."""
-    if length < 0:
-        raise InvalidInputError("length must be non-negative")
+    _check_size(length, "length")
     for rows in backtrack(machine, 1, [((-1,), (0,), (1,))] * length):
         yield tuple(chain.from_iterable(rows))

@@ -2,7 +2,10 @@
 
 JSON is the roundtrip format for all three kinds; CSV covers matrices and
 report detail tables; text is a human-readable display format.  Integers
-are written in decimal at full precision.
+are written in decimal at full precision.  A parsed triangle or matrix is
+checked once, by its carrier, which applies ``core``'s integer rule to every
+entry; its refusal becomes a ``ParseError`` naming the row (and column).
+Report fields are checked with the same rule.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import io
 import json
 import math
 
-from .core import SignMatrix, TriangularArray
+from .core import SignMatrix, TriangularArray, _is_int
 from .errors import InvalidInputError, ParseError
 from .report import FAILED, SKIPPED, VERIFIED, VerificationReport
 
@@ -96,16 +99,6 @@ def serialize(value, format: str = "json") -> bytes:
     raise InvalidInputError(f"cannot serialize {type(value).__name__}")
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _as_int(x, where):
-    if _is_int(x):
-        return x
-    raise ParseError(f"expected an integer at {where}, got {x!r}")
-
-
 def _parse_json(text: str):
     try:
         return json.loads(text)
@@ -116,19 +109,18 @@ def _parse_json(text: str):
 
 
 def _rows_from_obj(obj, key, cls):
-    """``cls`` built from the list of integer rows under ``obj[key]``."""
+    """``cls`` built from the list of rows under ``obj[key]``; the carrier
+    checks every entry, and its error names the row."""
     rows = obj.get(key)
     if not isinstance(rows, list):
         raise ParseError(f"missing {key!r} list")
-    parsed = []
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise ParseError(f"{key}[{i}] is not a list")
-        parsed.append(tuple(_as_int(x, f"{key}[{i}][{j}]") for j, x in enumerate(row)))
     try:
-        return cls(tuple(parsed))
+        return cls(rows)
     except InvalidInputError as e:
-        raise ParseError(str(e)) from None
+        raise ParseError(f"{key}: {e}") from None
 
 
 # what each report field must hold; JSON object keys are always strings
@@ -139,7 +131,8 @@ _REPORT_FIELDS = {
     "elapsed_ms": lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v),
     "reason": lambda v: v is None or isinstance(v, str),
     "details": lambda v: isinstance(v, list) and all(
-        isinstance(d, list) and len(d) == 3 and isinstance(d[0], str) for d in v),
+        isinstance(d, list) and len(d) == 3 and isinstance(d[0], str) and _is_int(d[1])
+        and _is_int(d[2]) for d in v),
 }
 
 
@@ -147,8 +140,7 @@ def _report_from_obj(obj):
     for name, ok in _REPORT_FIELDS.items():
         if not ok(obj.get(name)):
             raise ParseError(f"report field {name!r} missing or invalid: {obj.get(name)!r}")
-    details = tuple((desc, _as_int(expected, "details"), _as_int(actual, "details"))
-                    for desc, expected, actual in obj["details"])
+    details = tuple(map(tuple, obj["details"]))
     return VerificationReport(obj["identity_id"], obj["parameters"], obj["status"], details,
                               float(obj["elapsed_ms"]), obj.get("reason"))
 

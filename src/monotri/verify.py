@@ -2,18 +2,34 @@
 
 Each identity id names one equality (or family of equalities) between
 independently computed quantities; ``verify`` runs the checks at desk scale
-and returns a report rather than asserting.  Randomized identities take a
-seed so runs are reproducible.
+and returns a report rather than asserting.  Each identity is one
+``_Identity`` record: a runner that takes the parameters and yields the
+detail rows, default and largest supported parameters, the parameter
+``--n`` sets, and a note for reports whose primary parameter is below its
+largest value, which leave opt-in checks out.  Parameters are integers by
+``core``'s rule; one outside ``[0, largest]`` gives a Skipped report.
+``lemma2`` draws its samples from its ``seed`` parameter.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 import time
-from itertools import product
+from itertools import combinations_with_replacement
+from typing import Callable, Iterator, NamedTuple
 
 from . import enumeration, exactla, transform
-from .core import SignMatrix, TriangularArray, _dmt_bottom, _mt_bottom, has_triple, triangle_stats
+from .core import (
+    SignMatrix,
+    TriangularArray,
+    _dmt_bottom,
+    _is_int,
+    _mt_bottom,
+    has_triple,
+    triangle_stats,
+)
 from .enumeration import TriangleClass, WniObject
 from .errors import InvalidInputError
 from .evaluate import AlphaMethod, W_number, X_number, alpha, binomial, refined_asm, sum_operator
@@ -64,126 +80,90 @@ def _w_row(n, i):
 
 
 def _asm_total(n):
-    if n == 0:
-        return 1
     return sum(refined_asm(n, i) for i in range(1, n + 1))
 
 
-def _wdec(length, lo, hi):
-    for combo in product(range(hi, lo - 1, -1), repeat=length):
-        if all(a >= b for a, b in zip(combo, combo[1:])):
-            yield combo
-
-
-def _run_theorem1(params, rng):
+def _run_theorem1(params):
     hi, max_len = params["max_entry"], params["max_len"]
-    rows = []
     for m in range(1, max_len + 1):
-        for k in _wdec(m, 1, hi):
+        for k in combinations_with_replacement(range(hi, 0, -1), m):
             if has_triple(k):
                 signed = 0
             else:
                 signed = enumeration.signed_count(k, TriangleClass.DMT, "dd_with_prefactor")
             op = alpha(k, AlphaMethod.OPERATOR_RECURSION)
-            rows.append((f"signed dd enumeration = alpha at {k}", op, signed))
-    return rows
+            yield (f"signed dd enumeration = alpha at {k}", op, signed)
 
 
-def _run_theorem2(params, rng):
+def _run_theorem2(params):
     n_max = params["n_max"]
-    rows = []
     for n in range(1, n_max + 1):
         sign = -1 if (n - 1) % 2 else 1
         for i in range(1, 2 * n):
             expected = sign * (refined_asm(n, i) if i <= n else 0)
             got = alpha(_w_row(n, i), AlphaMethod.SIGNED_DMT_DP)
-            rows.append((f"alpha(2n-1; n-1+i, ...) n={n} i={i}", expected, got))
+            yield (f"alpha(2n-1; n-1+i, ...) n={n} i={i}", expected, got)
     for n in range(1, min(n_max, 4) + 1):
         hist = [0] * n
         for m in enumeration.enum_matrices("asm", n):
             hist[m.entries[0].index(1)] += 1
         for i in range(1, n + 1):
-            rows.append((f"first-row refined count n={n} i={i}", refined_asm(n, i), hist[i - 1]))
-    return rows
+            yield (f"first-row refined count n={n} i={i}", refined_asm(n, i), hist[i - 1])
 
 
-def _run_reciprocity(params, rng):
-    rows = []
+def _run_reciprocity(params):
     for n in range(1, params["n_max"] + 1):
         a = alpha(_dmt_bottom(n), AlphaMethod.SIGNED_DMT_DP)
         b = alpha(_mt_bottom(n), AlphaMethod.MONOTONE_DP)
         c = sum(1 for _ in enumeration.enum_matrices("asm", n))
-        rows.append((f"alpha(2n; n,n,...,1,1) = alpha(n; 1..n) at n={n}", b, a))
-        rows.append((f"alpha(n; 1..n) = ASM count at n={n}", c, b))
-    return rows
+        yield (f"alpha(2n; n,n,...,1,1) = alpha(n; 1..n) at n={n}", b, a)
+        yield (f"alpha(n; 1..n) = ASM count at n={n}", c, b)
 
 
-def _run_wni(params, rng):
-    rows = []
+def _run_wni(params):
     for n in range(1, params["n_max"] + 1):
         for i in range(1, 2 * n):
-            rows.append((f"W = X at n={n} i={i}", X_number(n, i), W_number(n, i)))
-    return rows
+            yield (f"W = X at n={n} i={i}", X_number(n, i), W_number(n, i))
 
 
-def _run_symmetry(params, rng):
-    rows = []
+def _run_symmetry(params):
     for n in range(1, params["n_max"] + 1):
         sign = -1 if (n - 1) % 2 else 1
         for i in range(1, 2 * n):
-            rows.append(
-                (f"W(n,i) = (-1)^(n-1) W(n,2n-i) at n={n} i={i}",
-                 sign * W_number(n, 2 * n - i), W_number(n, i))
-            )
-    return rows
+            yield (f"W(n,i) = (-1)^(n-1) W(n,2n-i) at n={n} i={i}",
+                   sign * W_number(n, 2 * n - i), W_number(n, i))
 
 
-def _eigen_rows(params, vector_fn, label):
-    rows = []
+def _run_eigenvector(vector_fn, label, params):
     for n in range(1, params["n_max"] + 1):
         m = exactla.build_matrix("eigenm", n)
         vec = tuple(vector_fn(n, i) for i in range(1, 2 * n))
         image = exactla.mat_vec(m, vec)
         for i, (want, got) in enumerate(zip(vec, image), start=1):
-            rows.append((f"(M {label})_{i} = {label}_{i} at n={n}", want, got))
-    return rows
+            yield (f"(M {label})_{i} = {label}_{i} at n={n}", want, got)
 
 
-def _run_les(params, rng):
-    return _eigen_rows(params, W_number, "W")
-
-
-def _run_eigen_x(params, rng):
-    return _eigen_rows(params, X_number, "X")
-
-
-def _run_eigen(params, rng):
-    rows = []
+def _run_eigen(params):
     for n in range(1, params["n_max"] + 1):
         rank = exactla.rank_exact(exactla.build_matrix("s", n))
-        rows.append((f"rank(S) = 2n-2 at n={n}", 2 * n - 2, rank))
+        yield (f"rank(S) = 2n-2 at n={n}", 2 * n - 2, rank)
     for n in range(2, params["n_max"] + 1):
         det = exactla.det_exact(exactla.build_matrix("sprime", n))
         sign = -1 if (n - 1) % 2 else 1
-        rows.append((f"det(S') = (-1)^(n-1) A_(n-1) at n={n}", sign * _asm_total(n - 1), det))
-    return rows
+        yield (f"det(S') = (-1)^(n-1) A_(n-1) at n={n}", sign * _asm_total(n - 1), det)
 
 
-def _run_recursion(params, rng):
-    rows = []
+def _run_recursion(params):
     for n in range(2, params["n_max"] + 1):
         rhs = -sum(binomial(n - 1, i) * W_number(n - 1, i) for i in range(1, n))
-        rows.append((f"W(n,1) recursion at n={n}", W_number(n, 1), rhs))
-    return rows
+        yield (f"W(n,1) recursion at n={n}", W_number(n, 1), rhs)
 
 
-def _run_vanishing(params, rng):
+def _run_vanishing(params):
     n, hi = params["n"], params["max_entry"]
-    rows = []
-    for k in _wdec(n, 1, hi):
+    for k in combinations_with_replacement(range(hi, 0, -1), n):
         if has_triple(k):
-            rows.append((f"alpha{k} = 0", 0, alpha(k, AlphaMethod.OPERATOR_RECURSION)))
-    return rows
+            yield (f"alpha{k} = 0", 0, alpha(k, AlphaMethod.OPERATOR_RECURSION))
 
 
 def _random_poly(rng, nvars):
@@ -194,16 +174,9 @@ def _random_poly(rng, nvars):
         terms.append((coef, exps))
 
     def poly(*args):
-        return sum(c * _monomial(args, e) for c, e in terms)
+        return sum(c * math.prod(map(pow, args, exps)) for c, exps in terms)
 
     return poly
-
-
-def _monomial(args, exps):
-    v = 1
-    for a, e in zip(args, exps):
-        v *= a**e
-    return v
 
 
 def _random_wdec_row(rng, max_len, hi):
@@ -214,8 +187,8 @@ def _random_wdec_row(rng, max_len, hi):
             return row
 
 
-def _run_lemma2(params, rng):
-    rows = []
+def _run_lemma2(params):
+    rng = random.Random(params["seed"])
     for s in range(params["samples"]):
         k = _random_wdec_row(rng, params["max_len"], params["max_entry"])
         poly = _random_poly(rng, len(k) - 1)
@@ -223,15 +196,13 @@ def _run_lemma2(params, rng):
         signed = 0
         for row, sc in enumeration.predecessors(k, TriangleClass.DMT):
             signed += (-1 if sc % 2 else 1) * poly(*row)
-        rows.append((f"operator = signed predecessor sum, sample {s} at {k}", op, signed))
-    return rows
+        yield (f"operator = signed predecessor sum, sample {s} at {k}", op, signed)
 
 
-def _run_stats_parity(params, rng):
+def _run_stats_parity(params):
     hi, max_len = params["max_entry"], params["max_len"]
-    rows = []
     for m in range(1, max_len + 1):
-        for k in _wdec(m, 1, hi):
+        for k in combinations_with_replacement(range(hi, 0, -1), m):
             if has_triple(k):
                 continue
             total = good = 0
@@ -242,57 +213,45 @@ def _run_stats_parity(params, rng):
                 parity_ok = (st.sc % 2) == ((n * (n - 1) // 2 + st.dd) % 2)
                 if parity_ok and st.peaks == st.base_pairs:
                     good += 1
-            rows.append((f"sc/dd parity and peak pairing over {k}", total, good))
-    return rows
+            yield (f"sc/dd parity and peak pairing over {k}", total, good)
 
 
-def _run_conjbij(params, rng):
-    rows = []
+def _run_conjbij(params):
     for n in range(1, params["n_max"] + 1):
         signed = enumeration.signed_count(_dmt_bottom(n), TriangleClass.DMT, "dd_bar")
-        rows.append(
-            (f"dd_bar-signed sum = alpha(n; 1..n) at n={n}",
-             alpha(_mt_bottom(n), AlphaMethod.MONOTONE_DP), signed)
-        )
-    return rows
+        yield (f"dd_bar-signed sum = alpha(n; 1..n) at n={n}",
+               alpha(_mt_bottom(n), AlphaMethod.MONOTONE_DP), signed)
 
 
-def _run_table(params, rng):
-    rows = []
+def _run_table(params):
     for n in range(3, params["n_max"] + 1, 2):
         got = alpha(tuple(range(n, 0, -1)), AlphaMethod.SIGNED_DMT_DP)
-        rows.append((f"alpha(n; n,...,1) at n={n}", TABLE_VALUES[n], got))
+        yield (f"alpha(n; n,...,1) at n={n}", TABLE_VALUES[n], got)
     for n in (4, 6):
         if n <= params["n_max"]:
             got = alpha(tuple(range(n, 0, -1)), AlphaMethod.SIGNED_DMT_DP)
-            rows.append((f"alpha(n; n,...,1) at even n={n}", 0, got))
-    return rows
+            yield (f"alpha(n; n,...,1) at even n={n}", 0, got)
 
 
-def _run_conjecture(params, rng):
-    rows = []
+def _run_conjecture(params):
     for m in range(1, params["m_max"] + 1):
         left = alpha(tuple(range(2 * m + 1, 0, -1)), AlphaMethod.SIGNED_DMT_DP)
         right = alpha(tuple(range(2, 2 * m + 1, 2)), AlphaMethod.MONOTONE_DP)
         if m % 2:
             right = -right
-        rows.append((f"alpha(2m+1; ...) = (-1)^m alpha(m; 2,4,...,2m) at m={m}", right, left))
-    return rows
+        yield (f"alpha(2m+1; ...) = (-1)^m alpha(m; 2,4,...,2m) at m={m}", right, left)
 
 
-def _run_behrend(params, rng):
-    rows = []
+def _run_behrend(params):
     for n in range(1, params["n_max"] + 1):
         det = exactla.det_exact(exactla.build_matrix("behrend", n))
-        rows.append((f"Behrend determinant = ASM count at n={n}", _asm_total(n), det))
+        yield (f"Behrend determinant = ASM count at n={n}", _asm_total(n), det)
     for n in range(1, min(params["n_max"], 3) + 1):
         count = sum(1 for _ in enumeration.enum_matrices("asm", n))
-        rows.append((f"enumerated ASM count at n={n}", _asm_total(n), count))
-    return rows
+        yield (f"enumerated ASM count at n={n}", _asm_total(n), count)
 
 
-def _run_bijection(params, rng):
-    rows = []
+def _run_bijection(params):
     for cls, label, kind, n_max in (
         ("asm", "ASM", transform.BijectionKind.MT_ASM, params["asm_n_max"]),
         ("2asm", "2-ASM", transform.BijectionKind.DMT_2ASM, params["twoasm_n_max"]),
@@ -304,7 +263,7 @@ def _run_bijection(params, rng):
                 t = transform.matrix_to_triangle(m, kind)
                 if transform.triangle_to_matrix(t, kind) == m:
                     good += 1
-            rows.append((f"{label} <-> triangle roundtrip at n={n}", total, good))
+            yield (f"{label} <-> triangle roundtrip at n={n}", total, good)
 
     golden_m = SignMatrix(SIZE5_2ASM)
     golden_t = TriangularArray(SIZE5_DMT)
@@ -312,8 +271,8 @@ def _run_bijection(params, rng):
     rev = transform.matrix_to_triangle(golden_m, transform.BijectionKind.DMT_2ASM)
     bytes_ok = serialize(fwd) == serialize(golden_m)
     roundtrip_ok = deserialize(serialize(rev), "triangle") == golden_t
-    rows.append(("size-5 reference pair, triangle -> matrix bytes", 1, int(bytes_ok)))
-    rows.append(("size-5 reference pair, matrix -> triangle", 1, int(roundtrip_ok)))
+    yield ("size-5 reference pair, triangle -> matrix bytes", 1, int(bytes_ok))
+    yield ("size-5 reference pair, matrix -> triangle", 1, int(roundtrip_ok))
 
     for n in range(1, params["s1_n_max"] + 1):
         members = []
@@ -323,28 +282,24 @@ def _run_bijection(params, rng):
                 members.append(t)
                 if triangle_stats(t).dd_bar % 2 == 0:
                     dd_bar_even += 1
-        rows.append(
-            (f"|S1| = alpha(n; 1..n) at n={n}",
-             alpha(_mt_bottom(n), AlphaMethod.MONOTONE_DP), len(members))
-        )
-        rows.append((f"dd_bar even on S1 at n={n}", len(members), dd_bar_even))
+        yield (f"|S1| = alpha(n; 1..n) at n={n}",
+               alpha(_mt_bottom(n), AlphaMethod.MONOTONE_DP), len(members))
+        yield (f"dd_bar even on S1 at n={n}", len(members), dd_bar_even)
         good = sum(1 for t in members if transform.mt_to_s1(transform.s1_to_mt(t)) == t)
-        rows.append((f"S1 <-> triangle roundtrip at n={n}", len(members), good))
-    return rows
+        yield (f"S1 <-> triangle roundtrip at n={n}", len(members), good)
 
 
-def _run_wni_objects(params, rng):
-    rows = []
+def _run_wni_objects(params):
     for n in range(1, params["n_max"] + 1):
         for i in range(1, 2 * n):
             signed = sum(
                 enumeration.wni_object_sign(o) for o in enumeration.enum_wni_objects(n, i)
             )
-            rows.append((f"signed W-object sum = W(n,i) at n={n} i={i}", W_number(n, i), signed))
+            yield (f"signed W-object sum = W(n,i) at n={n} i={i}", W_number(n, i), signed)
     sample = WniObject(4, 3, SignMatrix(W43_SAMPLE))
     emitted = any(o == sample for o in enumeration.enum_wni_objects(4, 3))
-    rows.append(("reference (4,3) object emitted", 1, int(emitted)))
-    rows.append(("reference (4,3) object sign", 1, enumeration.wni_object_sign(sample)))
+    yield ("reference (4,3) object emitted", 1, int(emitted))
+    yield ("reference (4,3) object sign", 1, enumeration.wni_object_sign(sample))
     for n in range(1, params["n_max"] + 1):
         sign = -1 if (n - 1) % 2 else 1
         for i in range(1, 2 * n):
@@ -354,17 +309,15 @@ def _run_wni_objects(params, rng):
                 mirrored = WniObject(n, 2 * n - i, transform.reflect_rows(o.matrix))
                 if enumeration.wni_object_sign(mirrored) == sign * enumeration.wni_object_sign(o):
                     good += 1
-            rows.append((f"reflection sign covariance at n={n} i={i}", total, good))
-    return rows
+            yield (f"reflection sign covariance at n={n} i={i}", total, good)
 
 
-class _Identity:
-    def __init__(self, runner, defaults, limits, primary):
-        self.runner = runner
-        self.defaults = defaults
-        self.limits = limits
-        self.primary = primary
-
+class _Identity(NamedTuple):
+    runner: Callable[[dict], Iterator[tuple[str, int, int]]]
+    defaults: dict
+    limits: dict
+    primary: str
+    note: str | None = None
 
 IDENTITIES = {
     "theorem1": _Identity(_run_theorem1, {"max_entry": 4, "max_len": 4},
@@ -373,9 +326,11 @@ IDENTITIES = {
     "reciprocity": _Identity(_run_reciprocity, {"n_max": 4}, {"n_max": 5}, "n_max"),
     "wni": _Identity(_run_wni, {"n_max": 4}, {"n_max": 6}, "n_max"),
     "symmetry": _Identity(_run_symmetry, {"n_max": 4}, {"n_max": 6}, "n_max"),
-    "les": _Identity(_run_les, {"n_max": 5}, {"n_max": 6}, "n_max"),
+    "les": _Identity(functools.partial(_run_eigenvector, W_number, "W"),
+                     {"n_max": 5}, {"n_max": 6}, "n_max"),
     "eigen": _Identity(_run_eigen, {"n_max": 5}, {"n_max": 8}, "n_max"),
-    "eigen_x": _Identity(_run_eigen_x, {"n_max": 5}, {"n_max": 6}, "n_max"),
+    "eigen_x": _Identity(functools.partial(_run_eigenvector, X_number, "X"),
+                         {"n_max": 5}, {"n_max": 6}, "n_max"),
     "recursion": _Identity(_run_recursion, {"n_max": 5}, {"n_max": 6}, "n_max"),
     "vanishing": _Identity(_run_vanishing, {"n": 4, "max_entry": 3},
                            {"n": 5, "max_entry": 4}, "n"),
@@ -385,8 +340,10 @@ IDENTITIES = {
     "stats_parity": _Identity(_run_stats_parity, {"max_entry": 4, "max_len": 4},
                               {"max_entry": 5, "max_len": 5}, "max_len"),
     "conjbij": _Identity(_run_conjbij, {"n_max": 3}, {"n_max": 4}, "n_max"),
-    "table": _Identity(_run_table, {"n_max": 9}, {"n_max": 13}, "n_max"),
-    "conjecture": _Identity(_run_conjecture, {"m_max": 3}, {"m_max": 5}, "m_max"),
+    "table": _Identity(_run_table, {"n_max": 9}, {"n_max": 13}, "n_max",
+                       "rows above n_max are opt-in long-running checks"),
+    "conjecture": _Identity(_run_conjecture, {"m_max": 3}, {"m_max": 5}, "m_max",
+                            "cases above m_max are opt-in long-running checks"),
     "behrend": _Identity(_run_behrend, {"n_max": 7}, {"n_max": 10}, "n_max"),
     "bijection": _Identity(_run_bijection,
                            {"asm_n_max": 4, "twoasm_n_max": 3, "s1_n_max": 3},
@@ -404,7 +361,7 @@ def verify(identity_id: str, params: dict | None = None) -> VerificationReport:
     for key, value in (params or {}).items():
         if key not in merged:
             raise InvalidInputError(f"identity {identity_id!r} has no parameter {key!r}")
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise InvalidInputError(f"parameter {key!r} must be an integer, got {value!r}")
         merged[key] = value
     start = time.perf_counter()
@@ -415,14 +372,12 @@ def verify(identity_id: str, params: dict | None = None) -> VerificationReport:
                 (time.perf_counter() - start) * 1000.0,
                 reason=f"{key}={merged[key]} outside supported range [0, {cap}]",
             )
-    rng = random.Random(merged.get("seed", 0))
-    details = tuple(ident.runner(merged, rng))
+    details = tuple(ident.runner(merged))
     status = VERIFIED if all(e == a for _, e, a in details) else FAILED
+    cap = ident.limits[ident.primary]
     reason = None
-    if identity_id == "table" and merged["n_max"] < 13:
-        reason = "rows above n_max are opt-in long-running checks (largest supported: 13)"
-    elif identity_id == "conjecture" and merged["m_max"] < 5:
-        reason = "cases above m_max are opt-in long-running checks (largest supported: 5)"
+    if ident.note and merged[ident.primary] < cap:
+        reason = f"{ident.note} (largest supported: {cap})"
     return VerificationReport(
         identity_id, merged, status, details, (time.perf_counter() - start) * 1000.0,
         reason=reason,

@@ -3,17 +3,28 @@ from itertools import product
 import pytest
 
 from monotri import (
+    ExactMatrix,
     InvalidInputError,
     RowSeqClass,
     SignMatrix,
     TriangularArray,
+    W_number,
+    X_number,
+    binomial,
+    build_matrix,
     classify_row_sequence,
     condition3_equivalent,
+    enum_matrices,
+    enum_wni_objects,
+    forward_difference_power,
+    generate,
+    refined_asm,
     transition_stats,
     triangle_stats,
     validate_dmt,
     validate_monotone,
 )
+from monotri.machines import ASM_WORD, reach_table
 
 from golden import DMT_8, DMTS_63321, DMTS_63321_DD, MT5_ROWS
 
@@ -30,6 +41,41 @@ def test_sign_matrix_entries_enforced():
         SignMatrix(((0, 2),))
     with pytest.raises(InvalidInputError):
         SignMatrix(((0, 1), (1,)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SignMatrix(((0, 1.0),)),
+    lambda: SignMatrix(((True,),)),
+    lambda: TriangularArray(((True,),)),
+    lambda: ExactMatrix(((0.5,),)),
+    lambda: ExactMatrix((("3",),)),
+], ids=["sign-matrix-float", "sign-matrix-bool", "triangle-bool", "exact-matrix-float",
+        "exact-matrix-str"])
+def test_carriers_refuse_non_integers(build):
+    # type(x) is int, nothing else: never truncated, never read as 0/1
+    with pytest.raises(InvalidInputError):
+        build()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enum_matrices("asm", 2.5),
+    lambda: enum_wni_objects(2.0, 1),
+    lambda: W_number(2.0, 1),
+    lambda: X_number(2.5, 1),
+    lambda: refined_asm(2.5, 1),
+    lambda: build_matrix("behrend", 2.5),
+    lambda: list(generate(ASM_WORD, 2.5)),
+    lambda: reach_table(ASM_WORD, 2.5),
+    lambda: reach_table(ASM_WORD, -1),
+    lambda: forward_difference_power(lambda x: x, 1.5, 0),
+    lambda: binomial(2.5, 1),
+    lambda: W_number(True, 1),
+], ids=["asm-size", "wni-size", "w-size", "x-size", "refined-size", "behrend-size",
+        "generate-length", "reach-length", "reach-negative-length", "difference-order",
+        "binomial-upper", "w-bool-size"])
+def test_sizes_and_indices_follow_the_integer_rule(call):
+    with pytest.raises(InvalidInputError):
+        call()
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from monotri import (
     wni_object_sign,
 )
 from monotri.enumeration import WniObject, is_valid_wni
-from monotri.machines import ASM_WORD, MODIFIED_ROW, TWO_ASM_COLUMN, accepts
+from monotri.machines import ASM_WORD, MODIFIED_ROW, TWO_ASM_COLUMN, accepts, parse_steps
 from monotri.transform import BijectionKind, matrix_to_triangle
 
 from golden import ASM_COUNTS, DMTS_63321, W43_MATRIX, dmt_bottom, mt_bottom
@@ -311,6 +311,17 @@ def test_wni_signed_sums_match_w_numbers():
         for i in range(1, 2 * n):
             signed = sum(wni_object_sign(o) for o in enum_wni_objects(n, i))
             assert signed == W_number(n, i), (n, i)
+
+
+def test_wni_sign_matches_parse_steps():
+    # the sign counts steps along the membership walks; recount them from the
+    # public step decomposition of every column
+    for n in range(1, 5):
+        for i in range(1, 2 * n):
+            for o in enum_wni_objects(n, i):
+                traces = [parse_steps(TWO_ASM_COLUMN, col) for col in o.matrix.columns()]
+                edges = sum(len(t.steps) - t.sigma0_zero_loops for t in traces)
+                assert wni_object_sign(o) == (-1) ** (n + i + edges), (n, i, o)
 
 
 def test_wni_errors():

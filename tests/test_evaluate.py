@@ -164,8 +164,10 @@ def test_sum_operator_arity_errors():
     lambda: alpha((3, 1.5), AlphaMethod.SIGNED_DMT_DP),
     lambda: sum_operator(lambda a: 1, (0.5, 2)),
     lambda: sum_operator(lambda a: 1, ("0", "2")),
+    lambda: alpha((True, 3)),
+    lambda: sum_operator(lambda a: 1, (False, 2)),
 ], ids=["alpha-float", "alpha-str", "alpha-integral-float", "alpha-dmt-float",
-        "sum-operator-float", "sum-operator-str"])
+        "sum-operator-float", "sum-operator-str", "alpha-bool", "sum-operator-bool"])
 def test_non_integer_entries_rejected(call):
     # not truncated to integers, and not a bare TypeError from deep inside
     with pytest.raises(InvalidInputError):

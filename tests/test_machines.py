@@ -51,6 +51,8 @@ def test_bad_symbols_rejected():
     with pytest.raises(InvalidInputError):
         accepts(ASM_WORD, (0, 2))
     with pytest.raises(InvalidInputError):
+        accepts(ASM_WORD, (True,))
+    with pytest.raises(InvalidInputError):
         accepts("no-such-machine", (0,))
 
 

@@ -86,6 +86,19 @@ def test_parse_errors_carry_location():
         deserialize(b'{"type": "triangle", "rows": [[1], [2]]}', "triangle")
 
 
+@pytest.mark.parametrize("entry", ["true", "1.0", '"1"'])
+@pytest.mark.parametrize("kind, key, where", [
+    ("triangle", "rows", "row 2"),
+    ("matrix", "entries", "row 2 column 1"),
+])
+def test_non_integer_json_entries_name_their_place(entry, kind, key, where):
+    # the carrier checks every entry once; its refusal becomes the ParseError
+    rows = "[[0, 1], [%s, 0]]" if kind == "matrix" else "[[0], [%s, 0]]"
+    data = '{"type": "%s", "%s": %s}' % (kind, key, rows % entry)
+    with pytest.raises(ParseError, match=where):
+        deserialize(data, kind)
+
+
 _REPORT = (b'{"type": "report", "identity_id": "x", "parameters": %s, "status": "Verified",'
            b' "details": [], "elapsed_ms": %s}')
 
@@ -180,6 +193,38 @@ def test_matrix_roundtrip_random(m):
     assert deserialize(serialize(m), "matrix") == m
     if m.cols > 0:
         assert deserialize(serialize(m, "csv"), "matrix") == m
+
+
+# entries a carrier might be handed: ints, and what must not pass for them
+_ANY_ENTRY = st.one_of(st.integers(-1, 1), st.booleans(), st.floats(-1, 1), st.text(max_size=1))
+
+
+def _ints_that_roundtrip(value, kind):
+    cells = value.rows if kind == "triangle" else value.entries
+    return (all(type(x) is int for row in cells for x in row)
+            and deserialize(serialize(value), kind) == value)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.lists(_ANY_ENTRY, min_size=2, max_size=2), min_size=1, max_size=3))
+def test_accepted_matrix_roundtrips(rows):
+    # whatever a carrier accepts is all ints, and its own JSON reader gives it back
+    try:
+        m = SignMatrix(rows)
+    except InvalidInputError:
+        return
+    assert _ints_that_roundtrip(m, "matrix")
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(*(st.lists(_ANY_ENTRY, min_size=i, max_size=i) for i in range(1, n + 1)))))
+def test_accepted_triangle_roundtrips(rows):
+    try:
+        t = TriangularArray(rows)
+    except InvalidInputError:
+        return
+    assert _ints_that_roundtrip(t, "triangle")
 
 
 @settings(max_examples=50)

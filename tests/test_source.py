@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -29,6 +30,24 @@ def test_no_environment_reads():
                 found.append(f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
                     alias.name in ("environ", "environb", "getenv") for alias in node.names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+# the integer rule, however it is spelled
+_INTEGER_RULE = re.compile(
+    r"isinstance\(.+, .*\b(int|bool)\b.*\)|operator\.index\(.+\)|type\(.+\) is (not )?int")
+
+
+def test_integer_rule_only_in_core():
+    # core owns the one rule for what an integer is; elsewhere, call core
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Call, ast.Compare)) and _INTEGER_RULE.fullmatch(
+                    ast.unparse(node)):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
 
