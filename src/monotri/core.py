@@ -243,7 +243,7 @@ def transition_stats(k, l) -> tuple[int, int]:
     A pair is two adjacent equal entries; ``l[j]`` is a newcomer iff
     ``k[j] > l[j] > k[j+1]``.  Defined for interlacing DMT row pairs only.
     """
-    k, l = tuple(k), tuple(l)
+    k, l = _int_entries(k), _int_entries(l)
     if len(k) < 2 or len(l) != len(k) - 1:
         raise InvalidInputError(f"need |l| = |k| - 1 >= 1, got |k|={len(k)}, |l|={len(l)}")
     pairs = sum(1 for a, b in zip(l, l[1:]) if a == b)

@@ -7,18 +7,21 @@ bottom row; at weakly decreasing arguments it equals the signed enumeration
 of decreasing monotone triangles.  Three independent evaluation strategies
 are provided and must agree wherever their domains overlap:
 
-* ``OPERATOR_RECURSION`` expands the summation operator literally (valid for
-  any integer vector, exponential in size, guarded),
+* ``OPERATOR_RECURSION`` applies the summation operator to alpha one size
+  down (valid for any integer vector, exponential in size, guarded),
 * ``MONOTONE_DP`` counts monotone triangles by predecessor-row DP,
 * ``SIGNED_DMT_DP`` runs the sign-weighted predecessor DP over decreasing
   monotone triangle rows.
 
 Both DPs are ``enumeration.signed_count``, entered through its private form
 that takes the row shape ``alpha`` has already classified, so a call
-classifies its row once.  The operator recursion has its own bounded LRU
-cache, keyed like the DP's by rows shifted to end in 0, so neither reads the
-other's entries and each stays an independent check.  Row and bound
-entries, sizes and indices must be integers by ``core``'s rule.
+classifies its row once.  The summation operator at a bound vector is a
+cached table of signed points, built by the chosen recursion from the
+tables of shorter vectors; applying it calls the function once per point.
+The operator recursion caches its values apart, keyed by rows shifted to
+start at 0, so it never reads the DP's entries and stays an independent
+check.  Row and bound entries, sizes and indices must be integers by
+``core``'s rule.
 
 All arithmetic is exact; rationals appear only inside ``refined_asm`` and
 must cancel.
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
 
@@ -58,52 +62,59 @@ def binomial(a: int, b: int) -> int:
     return num // math.factorial(b)
 
 
-def ext_sum(f, a: int, b: int) -> int:
-    """Sum of f over [a, b], extended to all integer bounds: empty range when
-    b = a - 1, negated flipped range when b <= a - 2."""
+def _ext_range(a: int, b: int):
+    """The points of the sum over [a, b] and their sign, for any integer
+    bounds: empty when b = a - 1, negated and flipped when b <= a - 2."""
     if b >= a:
-        return sum(f(i) for i in range(a, b + 1))
-    if b == a - 1:
-        return 0
-    return -sum(f(i) for i in range(b + 1, a))
+        return range(a, b + 1), 1
+    return range(b + 1, a), -1
 
 
-def _op_apply(func, k, variant):
-    n = len(k)
-    if n == 1:
-        return func()
+def ext_sum(f, a: int, b: int) -> int:
+    """Sum of f over [a, b], extended to all integer bounds as ``_ext_range``."""
+    points, sign = _ext_range(*_int_entries((a, b)))
+    return sign * sum(f(i) for i in points)
+
+
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _op_terms(k, variant):
+    """The summation operator at ``k`` as a table of signed points: applied to
+    ``func`` it is the sum of ``c * func(*point)`` over the ``(point, c)``
+    pairs.  Equal points are merged and zero coefficients dropped.  The tuple
+    is made from a list: made from a generator it is resized, and cleared
+    tables would pile up in the free lists of small tuples."""
+    if len(k) == 1:
+        return (((), 1),)
+    table = Counter()
     if variant == 9:
-        def outer(*l):
-            return ext_sum(lambda t: func(t, *l), k[0], k[1] - 1)
-
-        def pinned(*l):
-            return func(k[1], *l)
-
-        return _op_apply(outer, k[1:], 9) + _op_apply(pinned, (k[1] + 1,) + k[2:], 9)
-    if variant == 8 and n >= 3:
-        def outer(*l):
-            return ext_sum(lambda t: func(*l, t), k[-2], k[-1])
-
-        def doubled(*l):
-            return func(*l, k[-2], k[-2])
-
-        return _op_apply(outer, k[:-1], 8) - _op_apply(doubled, k[:-2], 8)
-    # base recursion; also the n = 2 base shared by variant 8
-
-    def outer(*l):
-        return ext_sum(lambda t: func(*l, t), k[-2] + 1, k[-1])
-
-    def pinned(*l):
-        return func(*l, k[-2])
-
-    return _op_apply(outer, k[:-1], variant) + _op_apply(pinned, k[:-2] + (k[-2] - 1,), variant)
+        points, sign = _ext_range(k[0], k[1] - 1)
+        for l, c in _op_terms(k[1:], 9):
+            for t in points:
+                table[(t,) + l] += sign * c
+        for l, c in _op_terms((k[1] + 1,) + k[2:], 9):
+            table[(k[1],) + l] += c
+    elif variant == 8 and len(k) >= 3:
+        points, sign = _ext_range(k[-2], k[-1])
+        for l, c in _op_terms(k[:-1], 8):
+            for t in points:
+                table[l + (t,)] += sign * c
+        for l, c in _op_terms(k[:-2], 8):
+            table[l + (k[-2], k[-2])] -= c
+    else:  # variant 5; also the two-bound base of variant 8
+        points, sign = _ext_range(k[-2] + 1, k[-1])
+        for l, c in _op_terms(k[:-1], variant):
+            for t in points:
+                table[l + (t,)] += sign * c
+        for l, c in _op_terms(k[:-2] + (k[-2] - 1,), variant):
+            table[l + (k[-2],)] += c
+    return tuple([(point, c) for point, c in table.items() if c])
 
 
 def sum_operator(func, k, variant: int = 5) -> int:
-    """Apply the summation operator with bound vector ``k`` to ``func``,
-    a callable in len(k) - 1 integer arguments, expanding strictly by the
-    chosen recursion (5 peels the last bound with an open sum, 8 with a
-    closed sum and a doubled correction, 9 peels the first bound)."""
+    """Apply the summation operator with bound vector ``k`` to ``func``, a
+    callable in len(k) - 1 integer arguments: expand it by the chosen
+    recursion (5 peels the last bound with an open sum, 8 with a closed sum
+    and a correction, 9 peels the first bound), call ``func`` once per point."""
     k = _int_entries(k)
     n = len(k)
     if n < 1:
@@ -114,7 +125,7 @@ def sum_operator(func, k, variant: int = 5) -> int:
         raise InvalidInputError("variant 8 needs at least three bounds")
     if variant == 9 and n < 2:
         raise InvalidInputError("variant 9 needs at least two bounds")
-    return _op_apply(func, k, variant)
+    return sum(c * func(*point) for point, c in _op_terms(k, variant))
 
 
 class AlphaMethod(Enum):
@@ -135,20 +146,22 @@ _AUTO_METHOD = {
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def _alpha_op(k):
     """The operator recursion at ``k``, which has at least two entries and
-    ends in 0."""
-    return _op_apply(_alpha_op_at, k, 5)
+    starts at 0.  Its table is read once, so it is built uncached, from cached
+    tables that start at 0 as well (recursion 5 keeps the first bound)."""
+    return sum(c * _alpha_op_at(*point) for point, c in _op_terms.__wrapped__(k, 5))
 
 
 def _alpha_op_at(*k):
     """alpha at ``k`` by the operator recursion, looked up with ``k`` shifted."""
     if len(k) == 1:
         return 1
-    last = k[-1]
-    return _alpha_op(tuple([x - last for x in k]))
+    first = k[0]
+    return _alpha_op(tuple([x - first for x in k]))
 
 
 def clear_caches() -> None:
-    """Empty the operator recursion's memo and the DP's."""
+    """Empty the operator's tables, the operator recursion's memo and the DP's."""
+    _op_terms.cache_clear()
     _alpha_op.cache_clear()
     enumeration.clear_caches()
 

@@ -43,6 +43,8 @@ def build_matrix(kind: str, n: int) -> ExactMatrix:
     sprime: s with row n and the last column removed.
     behrend: n x n with entry C(i+j, j) - [i = j+1], 0-based.
     """
+    if not isinstance(kind, str) or kind.lower() not in MATRIX_KINDS:
+        raise InvalidInputError(f"unknown matrix kind {kind!r}")
     kind = kind.lower()
     _check_size(n, "n", 1)
     if kind == "behrend":
@@ -52,8 +54,6 @@ def build_matrix(kind: str, n: int) -> ExactMatrix:
                 for i in range(n)
             )
         )
-    if kind not in MATRIX_KINDS:
-        raise InvalidInputError(f"unknown matrix kind {kind!r}")
     size = 2 * n - 1
 
     def m_entry(i, j):

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import re
 
 from .core import SignMatrix, TriangularArray, _is_int
 from .errors import InvalidInputError, ParseError
@@ -21,6 +22,7 @@ from .report import FAILED, SKIPPED, VERIFIED, VerificationReport
 
 KINDS = ("triangle", "matrix", "report")
 FORMATS = ("json", "csv", "text")
+_DECIMAL = re.compile("-?[0-9]+")  # a CSV matrix cell: digits, with an optional minus sign
 
 
 def _report_payload(r: VerificationReport) -> dict:
@@ -153,6 +155,8 @@ def _matrix_from_csv(text: str):
         row = []
         for j, cell in enumerate(line):
             try:
+                if not _DECIMAL.fullmatch(cell):
+                    raise ValueError(cell)
                 row.append(int(cell))
             except ValueError:
                 raise ParseError(f"row {i + 1} column {j + 1}: {cell!r} is not an integer") from None

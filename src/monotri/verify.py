@@ -189,13 +189,15 @@ def _random_wdec_row(rng, max_len, hi):
 
 def _run_lemma2(params):
     rng = random.Random(params["seed"])
+    signed_rows = {}
     for s in range(params["samples"]):
         k = _random_wdec_row(rng, params["max_len"], params["max_entry"])
         poly = _random_poly(rng, len(k) - 1)
+        if k not in signed_rows:
+            signed_rows[k] = [(row, -1 if sc % 2 else 1)
+                              for row, sc in enumeration.predecessors(k, TriangleClass.DMT)]
         op = sum_operator(poly, k, 5)
-        signed = 0
-        for row, sc in enumeration.predecessors(k, TriangleClass.DMT):
-            signed += (-1 if sc % 2 else 1) * poly(*row)
+        signed = sum(sign * poly(*row) for row, sign in signed_rows[k])
         yield (f"operator = signed predecessor sum, sample {s} at {k}", op, signed)
 
 

@@ -49,8 +49,10 @@ def test_sign_matrix_entries_enforced():
     lambda: TriangularArray(((True,),)),
     lambda: ExactMatrix(((0.5,),)),
     lambda: ExactMatrix((("3",),)),
+    lambda: transition_stats((2.5, 0.5), (1.0,)),
+    lambda: transition_stats((3, 1), (True,)),
 ], ids=["sign-matrix-float", "sign-matrix-bool", "triangle-bool", "exact-matrix-float",
-        "exact-matrix-str"])
+        "exact-matrix-str", "transition-stats-float", "transition-stats-bool"])
 def test_carriers_refuse_non_integers(build):
     # type(x) is int, nothing else: never truncated, never read as 0/1
     with pytest.raises(InvalidInputError):

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from itertools import product
 
@@ -70,6 +71,49 @@ def brute_asms(n):
 
     rec([], [0] * n)
     return out
+
+
+def literal_ext_sum(f, a, b):
+    """Sum of f over [a, b] with the extended-range rule written out."""
+    if b >= a:
+        return sum(f(i) for i in range(a, b + 1))
+    if b == a - 1:
+        return 0
+    return -sum(f(i) for i in range(b + 1, a))
+
+
+def literal_sum_operator(func, k, variant):
+    """The summation operator expanded literally, one closure per peeled
+    bound, as the paper's recursions state it; every path calls ``func``."""
+    n = len(k)
+    if n == 1:
+        return func()
+    if variant == 9:
+        def outer(*l):
+            return literal_ext_sum(lambda t: func(t, *l), k[0], k[1] - 1)
+
+        def pinned(*l):
+            return func(k[1], *l)
+
+        return (literal_sum_operator(outer, k[1:], 9)
+                + literal_sum_operator(pinned, (k[1] + 1,) + k[2:], 9))
+    if variant == 8 and n >= 3:
+        def outer(*l):
+            return literal_ext_sum(lambda t: func(*l, t), k[-2], k[-1])
+
+        def doubled(*l):
+            return func(*l, k[-2], k[-2])
+
+        return literal_sum_operator(outer, k[:-1], 8) - literal_sum_operator(doubled, k[:-2], 8)
+
+    def outer(*l):  # variant 5; also the two-bound base of variant 8
+        return literal_ext_sum(lambda t: func(*l, t), k[-2] + 1, k[-1])
+
+    def pinned(*l):
+        return func(*l, k[-2])
+
+    return (literal_sum_operator(outer, k[:-1], variant)
+            + literal_sum_operator(pinned, k[:-2] + (k[-2] - 1,), variant))
 
 
 # binomial / ext_sum --------------------------------------------------------
@@ -146,6 +190,66 @@ def test_sum_operator_variant_agreement_randomized():
             assert sum_operator(f, k, 9) == v5, k
 
 
+@st.composite
+def operator_cases(draw):
+    """A variant, a bound vector of any shape it accepts and a polynomial
+    in one argument fewer."""
+    variant = draw(st.sampled_from((5, 8, 9)))
+    n = draw(st.integers({5: 1, 8: 3, 9: 2}[variant], 4))
+    k = tuple(draw(st.lists(st.integers(-3, 6), min_size=n, max_size=n)))
+    terms = draw(st.lists(st.tuples(st.integers(-3, 3),
+                                     st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1)),
+                          min_size=1, max_size=3))
+    return variant, k, lambda *x: sum(c * math.prod(map(pow, x, e)) for c, e in terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(operator_cases())
+def test_sum_operator_against_literal_expansion(case):
+    variant, k, func = case
+    assert sum_operator(func, k, variant) == literal_sum_operator(func, k, variant)
+
+
+def test_op_terms_tables_are_merged_and_cleared():
+    try:
+        evaluate.clear_caches()
+        for k in product(range(-1, 3), repeat=4):
+            for variant in (5, 8, 9):
+                sum_operator(lambda *x: 0, k, variant)
+        alpha((2, 0, 3, 1), AlphaMethod.OPERATOR_RECURSION)
+        assert evaluate._op_terms.cache_info().currsize > 3 * 4**4
+        # the tables are private to the cache; read them back by calling it
+        for k in product(range(-1, 3), repeat=4):
+            for variant in (5, 8, 9):
+                table = evaluate._op_terms(k, variant)
+                points = [point for point, _ in table]
+                assert len(set(points)) == len(points), (k, variant)
+                assert all(c != 0 and len(point) == 3 for point, c in table), (k, variant)
+        evaluate.clear_caches()
+        assert evaluate._op_terms.cache_info().currsize == 0
+    finally:
+        evaluate.clear_caches()
+
+
+def test_operator_recursion_reads_tables_that_start_at_0(monkeypatch):
+    # its keys start at 0 and recursion 5 keeps the first bound, so tables
+    # reached from different keys are shared rather than stored per translate
+    keys = []
+    build = evaluate._op_terms.__wrapped__
+
+    def recording(k, variant):
+        keys.append((k, variant))
+        return build(k, variant)
+
+    monkeypatch.setattr(evaluate, "_op_terms", functools.lru_cache(maxsize=None)(recording))
+    try:
+        evaluate.clear_caches()
+        assert alpha((9, 13, 7, 11, 8), AlphaMethod.OPERATOR_RECURSION) == 633
+        assert keys and all(k[0] == 0 and v == 5 for k, v in keys if len(k) > 1)
+    finally:
+        evaluate.clear_caches()
+
+
 def test_sum_operator_arity_errors():
     with pytest.raises(InvalidInputError):
         sum_operator(lambda a: a, (1, 2), 8)
@@ -166,8 +270,11 @@ def test_sum_operator_arity_errors():
     lambda: sum_operator(lambda a: 1, ("0", "2")),
     lambda: alpha((True, 3)),
     lambda: sum_operator(lambda a: 1, (False, 2)),
+    lambda: ext_sum(lambda i: 1, 1.5, 3),
+    lambda: ext_sum(lambda i: 1, True, 3),
 ], ids=["alpha-float", "alpha-str", "alpha-integral-float", "alpha-dmt-float",
-        "sum-operator-float", "sum-operator-str", "alpha-bool", "sum-operator-bool"])
+        "sum-operator-float", "sum-operator-str", "alpha-bool", "sum-operator-bool",
+        "ext-sum-float", "ext-sum-bool"])
 def test_non_integer_entries_rejected(call):
     # not truncated to integers, and not a bare TypeError from deep inside
     with pytest.raises(InvalidInputError):
@@ -360,12 +467,15 @@ def test_dp_state_counts():
 def test_cache_limit_keeps_results_correct(monkeypatch):
     tiny_dp = functools.lru_cache(maxsize=2)(enumeration._count.__wrapped__)
     tiny_op = functools.lru_cache(maxsize=2)(evaluate._alpha_op.__wrapped__)
+    tiny_terms = functools.lru_cache(maxsize=2)(evaluate._op_terms.__wrapped__)
     monkeypatch.setattr(enumeration, "_count", tiny_dp)
     monkeypatch.setattr(evaluate, "_alpha_op", tiny_op)
+    monkeypatch.setattr(evaluate, "_op_terms", tiny_terms)
     assert alpha((2, 4, 5, 8, 9), AlphaMethod.MONOTONE_DP) == 16939
     assert alpha((6, 3, 3, 2, 1), AlphaMethod.SIGNED_DMT_DP) == 3
     assert alpha((2, 4, 5, 8, 9), AlphaMethod.OPERATOR_RECURSION) == 16939
     assert tiny_dp.cache_info().currsize <= 2 and tiny_op.cache_info().currsize <= 2
+    assert 0 < tiny_terms.cache_info().currsize <= 2
 
 
 # difference operators -------------------------------------------------------

@@ -186,6 +186,12 @@ def test_build_matrix_errors():
         build_matrix("s", 0)
 
 
+@pytest.mark.parametrize("kind", [5, None, ("s",)], ids=["int", "none", "tuple"])
+def test_build_matrix_refuses_a_non_string_kind(kind):
+    with pytest.raises(InvalidInputError, match="unknown matrix kind"):
+        build_matrix(kind, 2)
+
+
 def _sprime_blocks(n):
     sp = build_matrix("sprime", n).entries
     m = n - 1

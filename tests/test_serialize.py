@@ -86,6 +86,14 @@ def test_parse_errors_carry_location():
         deserialize(b'{"type": "triangle", "rows": [[1], [2]]}', "triangle")
 
 
+@pytest.mark.parametrize("cell", ["0_1", " 1", "+1", "1 ", "\u0661"])
+def test_csv_cells_are_plain_decimals(cell):
+    # an optional minus sign and ASCII digits, nothing that int() would also take
+    assert deserialize(b"0,1\n1,-0\n", "matrix") == SignMatrix(((0, 1), (1, 0)))
+    with pytest.raises(ParseError, match="row 1 column 2"):
+        deserialize(f"0,{cell}\n1,0\n".encode(), "matrix")
+
+
 @pytest.mark.parametrize("entry", ["true", "1.0", '"1"'])
 @pytest.mark.parametrize("kind, key, where", [
     ("triangle", "rows", "row 2"),
