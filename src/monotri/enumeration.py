@@ -7,10 +7,14 @@ their sign contribution, in lexicographically decreasing order.  A DMT
 prefix carries its run length and sign count, so the multiplicity and
 singleton rules and ``pairs + newcomers`` are settled as the row grows.
 ``predecessors`` checks its row and returns that stream; ``enum_triangles``
-stacks rows from it, and ``signed_count`` runs a DP over distinct rows
-through it, whose transition weights carry the signs, memoised in a
-bounded LRU cache keyed by rows shifted to end in 0.  The ``enum_*``
-functions check their arguments when called and return the stream.
+stacks rows from it.  ``signed_count`` runs a DP over distinct rows,
+memoised in a bounded LRU cache keyed by ``_key``: the row shifted to end
+in 0 or its mirror image shifted likewise, whichever is smaller.  DMT rows
+sum over that stream, whose transition weights carry the signs.  MT rows
+fix the row above one entry at a time (``_mt_partial``, a second bounded
+cache), so the rows above the bottom rows of one level share their partial
+sums.  The ``enum_*`` functions check their arguments when called and
+return the stream.
 
 Each sign-matrix class (ASMs, 2-ASMs and the W-objects for (n, i)) has one
 description, ``_matrix_class``: the machine that reads each row, the one
@@ -144,16 +148,31 @@ def _checked_triangles(bottom, cls):
         yield t
 
 
+def _key(row):
+    """The DP key of ``row``: the row shifted to end in 0 or its mirror image
+    (-k_n, ..., -k_1) shifted likewise, whichever tuple is smaller.  Mirroring
+    maps MT rows to MT rows and DMT rows to DMT rows, and keeps every
+    kernel's count."""
+    first, last = row[0], row[-1]
+    shifted = tuple([x - last for x in row])
+    mirrored = tuple([first - x for x in reversed(row)])
+    return shifted if shifted <= mirrored else mirrored
+
+
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def _count(kernel, row, cls):
-    """DP over distinct rows; ``row`` has at least two entries and ends in 0,
-    and so does every row it looks up.  ``kernel`` names the transition weight."""
+    """DP over distinct rows; ``row`` is a key of ``_key``, and so is every
+    row it looks up.  ``kernel`` names the transition weight.  MT rows are
+    summed one entry of the row above at a time by ``_mt_partial``; DMT rows
+    stream their rows above whole from ``predecessors``."""
+    if cls is TriangleClass.MT:
+        _check_bottom(row, cls)
+        return _mt_partial.__wrapped__(row, 0)
     value = 0
     leaf = len(row) == 2
     below_pairs = _pair_values(row) if kernel == "pair" else None
     for above, sc in predecessors(row, cls):
-        last = above[-1]
-        sub = 1 if leaf else _count(kernel, tuple([x - last for x in above]), cls)
+        sub = 1 if leaf else _count(kernel, _key(above), cls)
         if kernel == "plain":
             value += sub
         elif kernel == "sc":
@@ -163,9 +182,36 @@ def _count(kernel, row, cls):
     return value
 
 
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _mt_partial(mixed, j):
+    """The MT count of a bottom row, summed over the rows above it that begin
+    with ``mixed[:j]``; ``mixed[j:]`` is the bottom row from entry ``j`` on.
+    One step writes entry ``j`` of the row above over slot ``j``: a value in
+    ``[k_j, k_{j+1}]`` above the entry before it.  Step 0 shifts the tuple so
+    that the row above starts at 0, so the rows above the bottom rows of one
+    level share these sums; the last step looks each finished row up in
+    ``_count``.  ``_count`` makes step 0 uncached, as its own value."""
+    m = len(mixed) - 1
+    lo = mixed[j] + (j > 0 and mixed[j - 1] == mixed[j])  # entry j - 1 may be k_j
+    hi = mixed[j + 1]
+    if j == m - 1:
+        if m == 1:
+            return hi - lo + 1
+        head = mixed[:j]
+        return sum([_count("plain", _key(head + (v,)), TriangleClass.MT)
+                    for v in range(lo, hi + 1)])
+    tail = mixed[j + 1:]
+    if j == 0:
+        return sum([_mt_partial((0,) + tuple([x - v for x in tail]), 1)
+                    for v in range(lo, hi + 1)])
+    head = mixed[:j]
+    return sum([_mt_partial(head + (v,) + tail, j + 1) for v in range(lo, hi + 1)])
+
+
 def clear_caches() -> None:
-    """Empty the DP's memo."""
+    """Empty the DP's memo and the MT partial sums."""
     _count.cache_clear()
+    _mt_partial.cache_clear()
 
 
 def signed_count(bottom, cls: TriangleClass, statistic: str):
@@ -188,8 +234,10 @@ def _signed_count(bottom, cls, statistic, shape):
     if n == 1:
         value = 1
     else:
-        kernel = "pair" if statistic.startswith("dd") else statistic
-        value = _count(kernel, tuple([x - bottom[-1] for x in bottom]), cls)
+        # every weight is 1 on MT rows, which have neither pairs nor sign changes
+        kernel = ("plain" if cls is TriangleClass.MT
+                  else "pair" if statistic.startswith("dd") else statistic)
+        value = _count(kernel, _key(bottom), cls)
     if statistic != "dd_with_prefactor":
         return value
     bottom_pairs = sum(1 for a, b in zip(bottom, bottom[1:]) if a == b)

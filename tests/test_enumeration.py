@@ -1,6 +1,7 @@
+import functools
 import random
 import tracemalloc
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -225,6 +226,52 @@ def test_theorem_grid_signed_count_vs_alpha():
             assert signed_count(k, TriangleClass.DMT, "sc") == signed_count(
                 k, TriangleClass.DMT, "dd_with_prefactor"
             )
+
+
+def stream_dp(cls, kernel):
+    """Oracle for the DP kernels: sums over the whole rows of
+    ``predecessors``, memoised on the exact row, with no translation or
+    mirror keys."""
+    def pair_values(row):
+        return {v for v in row if row.count(v) == 2}
+
+    @functools.cache
+    def count(k):
+        if len(k) == 1:
+            return 1
+        total = 0
+        for above, sc in predecessors(k, cls):
+            flips = {"plain": 0, "sc": sc, "pair": len(pair_values(above) & pair_values(k))}
+            total += (-1) ** flips[kernel] * count(above)
+        return total
+
+    return count
+
+
+def mirror(k):
+    return tuple(-x for x in reversed(k))
+
+
+@pytest.mark.parametrize("cls, kernel, statistic", [
+    (TriangleClass.DMT, "plain", "plain"),
+    (TriangleClass.DMT, "sc", "sc"),
+    (TriangleClass.DMT, "pair", "dd_bar"),
+    (TriangleClass.MT, "plain", "plain"),
+])
+def test_dp_counts_are_mirror_invariant(cls, kernel, statistic):
+    # the DP keys a row and its mirror image as one; exhaustive over bottom
+    # rows of 2..8 entries from 1..7, against the oracle that keys neither
+    count = stream_dp(cls, kernel)
+    rows = [k for m in range(2, 9)
+            for k in combinations_with_replacement(range(7, 0, -1), m)
+            if max(map(k.count, k)) <= 2]
+    if cls is TriangleClass.MT:
+        rows = [k[::-1] for k in rows if len(set(k)) == len(k)]
+    assert len(rows) == (1639 if cls is TriangleClass.DMT else 120)
+    for k in rows:
+        want = count(k)
+        assert count(mirror(k)) == want, k
+        assert signed_count(k, cls, statistic) == want, k
 
 
 def test_enum_matrices_counts():

@@ -454,27 +454,74 @@ def test_staircase_values():
 
 
 def test_dp_state_counts():
-    # pins the DP's state space: one memo entry per distinct row up to translation
+    # pins the DP's state space: one memo entry per distinct row up to
+    # translation and mirroring, and the MT partial sums of the rows above
     try:
-        for row, states in ((tuple(range(11, 0, -1)), 2460), ((0, 3, 5, 8, 10, 13), 592)):
+        for row, states, partials in ((tuple(range(11, 0, -1)), 1293, 0),
+                                      ((0, 3, 5, 8, 10, 13), 324, 1646)):
             evaluate.clear_caches()
             alpha(row)
             assert enumeration._count.cache_info().currsize == states, row
+            assert enumeration._mt_partial.cache_info().currsize == partials, row
     finally:
         evaluate.clear_caches()
 
 
+def test_clear_caches_empties_every_cache():
+    evaluate.clear_caches()
+    alpha((0, 3, 5, 8, 10, 13))
+    alpha((6, 3, 3, 2, 1))
+    alpha((2, 0, 3), AlphaMethod.OPERATOR_RECURSION)
+    caches = (enumeration._count, enumeration._mt_partial, evaluate._alpha_op, evaluate._op_terms)
+    assert all(cache.cache_info().currsize for cache in caches)
+    enumeration.clear_caches()
+    assert not enumeration._count.cache_info().currsize
+    assert not enumeration._mt_partial.cache_info().currsize
+    evaluate.clear_caches()
+    assert not any(cache.cache_info().currsize for cache in caches)
+
+
+def test_mt_dp_against_row_stream():
+    # the DP fixes the row above one entry at a time; the oracle sums over
+    # whole rows from predecessors, memoised on the exact row
+    MT = enumeration.TriangleClass.MT
+
+    @functools.cache
+    def stream(k):
+        return 1 if len(k) == 1 else sum(stream(l) for l, _ in enumeration.predecessors(k, MT))
+
+    rng = random.Random(7)
+    evaluate.clear_caches()
+    for _ in range(40):
+        k = tuple(sorted(rng.sample(range(-8, 8), rng.randint(2, 6))))
+        assert alpha(k, AlphaMethod.MONOTONE_DP) == stream(k), k
+
+
+def test_wide_increasing_rows():
+    assert alpha(tuple(range(2, 17, 2))) == 8878734657276
+    assert alpha((1, 5, 9, 14, 20, 30)) == 1279985542406
+
+
+@pytest.mark.long
+def test_staircase_15():
+    # equals (-1)^7 alpha(7; 2, 4, ..., 14), the conjecture at m = 7
+    assert alpha(tuple(range(15, 0, -1))) == -5382618660
+
+
 def test_cache_limit_keeps_results_correct(monkeypatch):
     tiny_dp = functools.lru_cache(maxsize=2)(enumeration._count.__wrapped__)
+    tiny_partial = functools.lru_cache(maxsize=2)(enumeration._mt_partial.__wrapped__)
     tiny_op = functools.lru_cache(maxsize=2)(evaluate._alpha_op.__wrapped__)
     tiny_terms = functools.lru_cache(maxsize=2)(evaluate._op_terms.__wrapped__)
     monkeypatch.setattr(enumeration, "_count", tiny_dp)
+    monkeypatch.setattr(enumeration, "_mt_partial", tiny_partial)
     monkeypatch.setattr(evaluate, "_alpha_op", tiny_op)
     monkeypatch.setattr(evaluate, "_op_terms", tiny_terms)
     assert alpha((2, 4, 5, 8, 9), AlphaMethod.MONOTONE_DP) == 16939
     assert alpha((6, 3, 3, 2, 1), AlphaMethod.SIGNED_DMT_DP) == 3
     assert alpha((2, 4, 5, 8, 9), AlphaMethod.OPERATOR_RECURSION) == 16939
     assert tiny_dp.cache_info().currsize <= 2 and tiny_op.cache_info().currsize <= 2
+    assert 0 < tiny_partial.cache_info().currsize <= 2
     assert 0 < tiny_terms.cache_info().currsize <= 2
 
 
