@@ -20,7 +20,7 @@ from .enumeration import TriangleClass
 from .errors import InvalidInputError, ParseError, ResourceLimitError
 from .evaluate import alpha
 from .report import FAILED, VERIFIED
-from .serialize import deserialize, serialize
+from .serialize import _DECIMAL, deserialize, serialize
 from .verify import IDENTITIES, verify
 
 EXIT_OK = 0
@@ -30,10 +30,16 @@ EXIT_RESOURCE = 3
 
 
 def _row(text: str) -> tuple[int, ...]:
+    """The row in ``--row``: decimal integers, each held to the CSV cell rule,
+    joined by bare commas."""
+    parts = text.split(",")
     try:
-        return tuple(int(part) for part in text.split(","))
+        if not all(map(_DECIMAL.fullmatch, parts)):
+            raise ValueError(text)
+        return tuple(map(int, parts))
     except ValueError:
-        raise InvalidInputError(f"cannot parse row {text!r}; expected comma-separated integers")
+        raise InvalidInputError(
+            f"cannot parse row {text!r}; expected comma-separated integers") from None
 
 
 def _emit(value, fmt: str) -> None:

@@ -5,16 +5,20 @@ Triangles rest on one kernel, ``_rows_above``: a depth-first stream, over
 an explicit stack of prefixes, of the rows directly above a bottom row with
 their sign contribution, in lexicographically decreasing order.  A DMT
 prefix carries its run length and sign count, so the multiplicity and
-singleton rules and ``pairs + newcomers`` are settled as the row grows.
-``predecessors`` checks its row and returns that stream; ``enum_triangles``
-stacks rows from it.  ``signed_count`` runs a DP over distinct rows,
-memoised in a bounded LRU cache keyed by ``_key``: the row shifted to end
-in 0 or its mirror image shifted likewise, whichever is smaller.  DMT rows
-sum over that stream, whose transition weights carry the signs.  MT rows
-fix the row above one entry at a time (``_mt_partial``, a second bounded
-cache), so the rows above the bottom rows of one level share their partial
-sums.  The ``enum_*`` functions check their arguments when called and
-return the stream.
+singleton rules and ``pairs + newcomers`` are settled as the row grows; it
+extends in place while its next entry has one value, and is pushed only
+where the row branches.  ``predecessors`` checks its row and returns that
+stream; ``enum_triangles`` stacks rows from it.
+
+``signed_count`` runs a DP over distinct rows, one bounded LRU cache per
+class, each keyed by ``_key``: the row shifted to end in 0 or its mirror
+image shifted likewise, whichever is smaller; the end gaps decide which,
+so only a tie builds both.  ``_count_dmt(kernel, row)`` sums over that
+stream, whose transition weights carry the signs.  ``_count_mt(row)`` fixes
+the row above one entry at a time (``_mt_partial``, a third bounded cache),
+so the rows above the bottom rows of one level share their partial sums.
+The ``enum_*`` functions check their arguments when called and return the
+stream.
 
 Each sign-matrix class (ASMs, 2-ASMs and the W-objects for (n, i)) has one
 description, ``_matrix_class``: the machine that reads each row, the one
@@ -29,7 +33,6 @@ column walks that check returns.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -55,10 +58,6 @@ _MEMO_ENTRIES = 1 << 20
 class TriangleClass(Enum):
     MT = "mt"
     DMT = "dmt"
-
-    # members are singletons compared by identity; the identity hash is C
-    # code, where Enum.__hash__ is Python code run on every DP cache lookup
-    __hash__ = object.__hash__
 
 
 def _check_bottom(k, cls, shape=None) -> tuple[int, ...]:
@@ -88,7 +87,9 @@ def predecessors(k, cls: TriangleClass):
 
 def _rows_above(k, cls):
     """Depth-first stream of ``predecessors``: prefixes wait on a stack,
-    pushed smallest first; the rows completing one prefix go out together."""
+    pushed smallest first; the rows completing one prefix go out together.
+    A DMT prefix grows without the stack while its next entry is forced, as
+    under every pair of ``k``."""
     m = len(k) - 1
     if cls is TriangleClass.MT:
         stack = [((), k[0] - 1)]  # (prefix, its last value)
@@ -101,27 +102,40 @@ def _rows_above(k, cls):
             else:
                 yield from [(row + (v,), 0) for v in range(k[m], lo - 1, -1)]
         return
-    singles = {v for v, c in Counter(k).items() if c == 1}
-    # (prefix, last value, last run length, sc so far), from the empty prefix;
-    # a run may close unless it is a singleton of k at length one
+    # single[j]: k_j occurs once in k, read off its neighbours.  A run begun
+    # at a singleton k_j could neither pair nor close, so none is begun there;
+    # one begun at a singleton k_{j+1} must pair next.  A prefix whose next
+    # entry has one value grows in place: the stack holds branch points only.
+    single = [a != b != c for a, b, c in zip((None,) + k, k, k[1:] + (None,))]
+    # (prefix, last value, last run length, sc so far), from the empty prefix
     stack = [((), None, 2, 0)]
     while stack:
         row, last, run, sc = stack.pop()
         j = len(row)
-        hi, lo = k[j], k[j + 1]
-        top = hi - (last == hi)
-        closable = run == 2 or last not in singles
-        if j < m - 1:
-            if closable:
+        while True:
+            hi, lo = k[j], k[j + 1]
+            pair = last == hi and run == 1
+            # new runs take the values lo..top, top >= lo - 1
+            top = lo - 1 if pair and single[j] else hi - (last == hi or single[j])
+            if j == m - 1:
+                if pair:
+                    yield row + (hi,), sc + 1
+                yield from [(row + (v,), sc + (hi > v > lo))
+                            for v in range(top, lo + single[m] - 1, -1)]
+                break
+            choices = top - lo + 1 + pair
+            if choices > 1:
                 stack += [(row + (v,), v, 1, sc + (hi > v > lo)) for v in range(lo, top + 1)]
-            if last == hi and run == 1:
-                stack.append((row + (hi,), hi, 2, sc + 1))
-            continue
-        if last == hi and run == 1:
-            yield row + (hi,), sc + 1
-        if closable:
-            yield from [(row + (v,), sc + (hi > v > lo))
-                        for v in range(top, lo - 1, -1) if v not in singles]
+                if pair:
+                    stack.append((row + (hi,), hi, 2, sc + 1))
+                break
+            if not choices:
+                break
+            if pair:
+                row, last, run, sc = row + (hi,), hi, 2, sc + 1
+            else:
+                row, last, run = row + (lo,), lo, 1
+            j += 1
 
 
 def _towers(bottom, cls):
@@ -152,33 +166,57 @@ def _key(row):
     """The DP key of ``row``: the row shifted to end in 0 or its mirror image
     (-k_n, ..., -k_1) shifted likewise, whichever tuple is smaller.  Mirroring
     maps MT rows to MT rows and DMT rows to DMT rows, and keeps every
-    kernel's count."""
+    kernel's count.  Both tuples open with the spread k_1 - k_n, and the
+    shifted one is smaller where k_1 - k_2 > k_{n-1} - k_n, the mirrored one
+    where it is less; only a tie of the end gaps builds both."""
     first, last = row[0], row[-1]
-    shifted = tuple([x - last for x in row])
+    ends = first - row[1] - row[-2] + last
+    if ends > 0:
+        return tuple([x - last for x in row])
     mirrored = tuple([first - x for x in reversed(row)])
+    if ends < 0:
+        return mirrored
+    shifted = tuple([x - last for x in row])
     return shifted if shifted <= mirrored else mirrored
 
 
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
-def _count(kernel, row, cls):
-    """DP over distinct rows; ``row`` is a key of ``_key``, and so is every
-    row it looks up.  ``kernel`` names the transition weight.  MT rows are
-    summed one entry of the row above at a time by ``_mt_partial``; DMT rows
-    stream their rows above whole from ``predecessors``."""
-    if cls is TriangleClass.MT:
-        _check_bottom(row, cls)
-        return _mt_partial.__wrapped__(row, 0)
+def _count_mt(row):
+    """The MT count of the rows above ``row``, a key of ``_key``, summed one
+    entry of the row above at a time by ``_mt_partial``."""
+    _check_bottom(row, TriangleClass.MT)
+    return _mt_partial.__wrapped__(row, 0)
+
+
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _count_dmt(kernel, row):
+    """DP over distinct DMT rows; ``row`` is a key of ``_key``, and so is every
+    row it looks up.  It streams the rows above whole from ``predecessors``,
+    called through the module name once per state so that a wrapper bound
+    there sees every state, keys each row in the loop by ``_key``'s rule, and
+    weighs it by ``kernel``: ``plain`` 1, ``sc`` (-1)^sc, ``pair`` (-1) to
+    the number of pair values the row shares with ``row``, which dd and
+    dd_bar share."""
     value = 0
     leaf = len(row) == 2
-    below_pairs = _pair_values(row) if kernel == "pair" else None
-    for above, sc in predecessors(row, cls):
-        sub = 1 if leaf else _count(kernel, _key(above), cls)
-        if kernel == "plain":
+    by_sc, by_pairs = kernel == "sc", kernel == "pair"
+    below_pairs = _pair_values(row) if by_pairs else None
+    for above, sc in predecessors(row, TriangleClass.DMT):
+        if leaf:
+            sub = 1
+        else:
+            first, last = above[0], above[-1]
+            ends = first - above[1] - above[-2] + last
+            if ends > 0:
+                sub = _count_dmt(kernel, tuple([x - last for x in above]))
+            elif ends < 0:
+                sub = _count_dmt(kernel, tuple([first - x for x in reversed(above)]))
+            else:
+                sub = _count_dmt(kernel, _key(above))
+        if by_sc and sc & 1 or by_pairs and len(_pair_values(above) & below_pairs) & 1:
+            value -= sub
+        else:
             value += sub
-        elif kernel == "sc":
-            value += -sub if sc % 2 else sub
-        else:  # pair coincidence weight, shared by dd and dd_bar
-            value += -sub if len(_pair_values(above) & below_pairs) % 2 else sub
     return value
 
 
@@ -190,7 +228,7 @@ def _mt_partial(mixed, j):
     ``[k_j, k_{j+1}]`` above the entry before it.  Step 0 shifts the tuple so
     that the row above starts at 0, so the rows above the bottom rows of one
     level share these sums; the last step looks each finished row up in
-    ``_count``.  ``_count`` makes step 0 uncached, as its own value."""
+    ``_count_mt``.  ``_count_mt`` makes step 0 uncached, as its own value."""
     m = len(mixed) - 1
     lo = mixed[j] + (j > 0 and mixed[j - 1] == mixed[j])  # entry j - 1 may be k_j
     hi = mixed[j + 1]
@@ -198,8 +236,7 @@ def _mt_partial(mixed, j):
         if m == 1:
             return hi - lo + 1
         head = mixed[:j]
-        return sum([_count("plain", _key(head + (v,)), TriangleClass.MT)
-                    for v in range(lo, hi + 1)])
+        return sum([_count_mt(_key(head + (v,))) for v in range(lo, hi + 1)])
     tail = mixed[j + 1:]
     if j == 0:
         return sum([_mt_partial((0,) + tuple([x - v for x in tail]), 1)
@@ -209,8 +246,9 @@ def _mt_partial(mixed, j):
 
 
 def clear_caches() -> None:
-    """Empty the DP's memo and the MT partial sums."""
-    _count.cache_clear()
+    """Empty the two DP memos and the MT partial sums."""
+    _count_mt.cache_clear()
+    _count_dmt.cache_clear()
     _mt_partial.cache_clear()
 
 
@@ -235,9 +273,10 @@ def _signed_count(bottom, cls, statistic, shape):
         value = 1
     else:
         # every weight is 1 on MT rows, which have neither pairs nor sign changes
-        kernel = ("plain" if cls is TriangleClass.MT
-                  else "pair" if statistic.startswith("dd") else statistic)
-        value = _count(kernel, _key(bottom), cls)
+        if cls is TriangleClass.MT:
+            value = _count_mt(_key(bottom))
+        else:
+            value = _count_dmt("pair" if statistic.startswith("dd") else statistic, _key(bottom))
     if statistic != "dd_with_prefactor":
         return value
     bottom_pairs = sum(1 for a, b in zip(bottom, bottom[1:]) if a == b)

@@ -192,8 +192,10 @@ def test_bad_flags_exit_2(capsys):
 
 
 def test_bad_row_text(capsys):
-    code, _, err = run(capsys, "alpha", "--row", "1,two,3")
-    assert code == 2 and err
+    # int() would read underscores, a plus sign and spaces
+    for text in ("1,two,3", "1_0,2", "+1,2", "1, 2", "1_0, +12,13"):
+        code, out, err = run(capsys, "alpha", "--row", text)
+        assert code == 2 and err and out == "", text
 
 
 def test_results_only_on_stdout(capsys):

@@ -24,6 +24,7 @@ from monotri import (
     validate_monotone,
     wni_object_sign,
 )
+from monotri import enumeration
 from monotri.enumeration import WniObject, is_valid_wni
 from monotri.machines import ASM_WORD, MODIFIED_ROW, TWO_ASM_COLUMN, accepts, parse_steps
 from monotri.transform import BijectionKind, matrix_to_triangle
@@ -112,12 +113,42 @@ def _random_bottom(rng, cls):
     return tuple(sorted(rng.sample(pool, rng.randint(2, 8)), reverse=True))
 
 
+# dense in pairs, where a gap of the bottom row offers one value: the doubled
+# staircases, the W rows (n-1+i, n-1, n-1, ..., 1, 1), and rows that open and
+# close with a pair
+PAIRED_BOTTOMS = ([dmt_bottom(n) for n in range(1, 5)]
+                  + [(n - 1 + i,) + dmt_bottom(n - 1) for n in range(2, 5) for i in range(1, 2 * n)]
+                  + [(5, 5, 3, 2, 2), (6, 6, 4, 3, 1, 1), (4, 4, 3, 1, 0, 0)])
+
+
 @pytest.mark.parametrize("cls", list(TriangleClass))
 def test_predecessors_against_brute_force(cls):
     rng = random.Random(20111)
-    for _ in range(300):
-        k = _random_bottom(rng, cls)
+    bottoms = [_random_bottom(rng, cls) for _ in range(300)]
+    if cls is TriangleClass.DMT:
+        bottoms += PAIRED_BOTTOMS
+    for k in bottoms:
         assert list(predecessors(k, cls)) == list(brute_predecessors(k, cls)), k
+
+
+def _key_oracle(row):
+    shifted = tuple(x - row[-1] for x in row)
+    mirrored = tuple(row[0] - x for x in reversed(row))
+    return min(shifted, mirrored)
+
+
+def test_key_is_smaller_of_shifted_and_mirrored():
+    # every strictly increasing and every DMT row of length 2..6 over 0..6;
+    # the rows whose gaps read the same both ways tie at the end gaps
+    rows = [k for n in range(2, 7) for k in product(range(7), repeat=n)
+            if all(a < b for a, b in zip(k, k[1:]))
+            or all(a >= b for a, b in zip(k, k[1:])) and max(map(k.count, k)) <= 2]
+    palindromes = 0
+    for k in rows:
+        assert enumeration._key(k) == _key_oracle(k), k
+        gaps = [a - b for a, b in zip(k, k[1:])]
+        palindromes += gaps == gaps[::-1]
+    assert (len(rows), palindromes) == (1008, 188)
 
 
 @pytest.mark.parametrize("cls, bottom", [

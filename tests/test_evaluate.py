@@ -371,15 +371,15 @@ def test_strategies_agree_on_shifts_and_reflections(row, c):
 
 def test_operator_recursion_never_reads_dp_entries(monkeypatch):
     try:
-        for row, dp in (((2, 4, 5, 8, 9), AlphaMethod.MONOTONE_DP),
-                        ((6, 3, 3, 2, 1), AlphaMethod.SIGNED_DMT_DP)):
+        for row, dp, cache in (((2, 4, 5, 8, 9), AlphaMethod.MONOTONE_DP, "_count_mt"),
+                               ((6, 3, 3, 2, 1), AlphaMethod.SIGNED_DMT_DP, "_count_dmt")):
             evaluate.clear_caches()
             want = alpha(row, AlphaMethod.OPERATOR_RECURSION)
             evaluate.clear_caches()
             alpha(row, dp)
-            warm = enumeration._count
+            warm = getattr(enumeration, cache)
             # every DP entry now reads one too many
-            monkeypatch.setattr(enumeration, "_count",
+            monkeypatch.setattr(enumeration, cache,
                                 functools.lru_cache(maxsize=None)(lambda *a: warm(*a) + 1))
             assert alpha(row, dp) == want + 1
             assert alpha(row, AlphaMethod.OPERATOR_RECURSION) == want
@@ -453,16 +453,29 @@ def test_staircase_values():
         assert alpha(tuple(range(n, 0, -1))) == 0
 
 
-def test_dp_state_counts():
+def test_dp_state_counts(monkeypatch):
     # pins the DP's state space: one memo entry per distinct row up to
-    # translation and mirroring, and the MT partial sums of the rows above
+    # translation and mirroring, and the MT partial sums of the rows above;
+    # the rows streamed from predecessors pin the DMT transitions
+    pulled = []
+    stream = enumeration.predecessors
+
+    def counting(k, cls):
+        for item in stream(k, cls):
+            pulled.append(item)
+            yield item
+
+    monkeypatch.setattr(enumeration, "predecessors", counting)
     try:
-        for row, states, partials in ((tuple(range(11, 0, -1)), 1293, 0),
-                                      ((0, 3, 5, 8, 10, 13), 324, 1646)):
+        for row, states, partials, rows_pulled in ((tuple(range(11, 0, -1)), (0, 1293), 0, 7872),
+                                                   ((0, 3, 5, 8, 10, 13), (324, 0), 1646, 0)):
             evaluate.clear_caches()
+            pulled.clear()
             alpha(row)
-            assert enumeration._count.cache_info().currsize == states, row
+            assert (enumeration._count_mt.cache_info().currsize,
+                    enumeration._count_dmt.cache_info().currsize) == states, row
             assert enumeration._mt_partial.cache_info().currsize == partials, row
+            assert len(pulled) == rows_pulled, row
     finally:
         evaluate.clear_caches()
 
@@ -472,11 +485,11 @@ def test_clear_caches_empties_every_cache():
     alpha((0, 3, 5, 8, 10, 13))
     alpha((6, 3, 3, 2, 1))
     alpha((2, 0, 3), AlphaMethod.OPERATOR_RECURSION)
-    caches = (enumeration._count, enumeration._mt_partial, evaluate._alpha_op, evaluate._op_terms)
+    dp = (enumeration._count_mt, enumeration._count_dmt, enumeration._mt_partial)
+    caches = dp + (evaluate._alpha_op, evaluate._op_terms)
     assert all(cache.cache_info().currsize for cache in caches)
     enumeration.clear_caches()
-    assert not enumeration._count.cache_info().currsize
-    assert not enumeration._mt_partial.cache_info().currsize
+    assert not any(cache.cache_info().currsize for cache in dp)
     evaluate.clear_caches()
     assert not any(cache.cache_info().currsize for cache in caches)
 
@@ -509,18 +522,21 @@ def test_staircase_15():
 
 
 def test_cache_limit_keeps_results_correct(monkeypatch):
-    tiny_dp = functools.lru_cache(maxsize=2)(enumeration._count.__wrapped__)
+    tiny_mt = functools.lru_cache(maxsize=2)(enumeration._count_mt.__wrapped__)
+    tiny_dmt = functools.lru_cache(maxsize=2)(enumeration._count_dmt.__wrapped__)
     tiny_partial = functools.lru_cache(maxsize=2)(enumeration._mt_partial.__wrapped__)
     tiny_op = functools.lru_cache(maxsize=2)(evaluate._alpha_op.__wrapped__)
     tiny_terms = functools.lru_cache(maxsize=2)(evaluate._op_terms.__wrapped__)
-    monkeypatch.setattr(enumeration, "_count", tiny_dp)
+    monkeypatch.setattr(enumeration, "_count_mt", tiny_mt)
+    monkeypatch.setattr(enumeration, "_count_dmt", tiny_dmt)
     monkeypatch.setattr(enumeration, "_mt_partial", tiny_partial)
     monkeypatch.setattr(evaluate, "_alpha_op", tiny_op)
     monkeypatch.setattr(evaluate, "_op_terms", tiny_terms)
     assert alpha((2, 4, 5, 8, 9), AlphaMethod.MONOTONE_DP) == 16939
     assert alpha((6, 3, 3, 2, 1), AlphaMethod.SIGNED_DMT_DP) == 3
     assert alpha((2, 4, 5, 8, 9), AlphaMethod.OPERATOR_RECURSION) == 16939
-    assert tiny_dp.cache_info().currsize <= 2 and tiny_op.cache_info().currsize <= 2
+    assert 0 < tiny_mt.cache_info().currsize <= 2 and 0 < tiny_dmt.cache_info().currsize <= 2
+    assert tiny_op.cache_info().currsize <= 2
     assert 0 < tiny_partial.cache_info().currsize <= 2
     assert 0 < tiny_terms.cache_info().currsize <= 2
 
