@@ -29,14 +29,17 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
 
+def _is_row(text: str) -> bool:
+    """Decimal integers, each held to the CSV cell rule, joined by bare commas."""
+    return all(map(_DECIMAL.fullmatch, text.split(",")))
+
+
 def _row(text: str) -> tuple[int, ...]:
-    """The row in ``--row``: decimal integers, each held to the CSV cell rule,
-    joined by bare commas."""
-    parts = text.split(",")
+    """The row in ``--row``, by ``_is_row``'s rule."""
     try:
-        if not all(map(_DECIMAL.fullmatch, parts)):
+        if not _is_row(text):
             raise ValueError(text)
-        return tuple(map(int, parts))
+        return tuple(map(int, text.split(",")))
     except ValueError:
         raise InvalidInputError(
             f"cannot parse row {text!r}; expected comma-separated integers") from None
@@ -183,8 +186,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def run_cli(argv) -> int:
     parser = _parser()
+    argv = list(argv)
+    # argparse reads a row opening with a minus sign as an option: bind it
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--row" and _is_row(argv[i + 1]):
+            argv[i:i + 2] = [f"--row={argv[i + 1]}"]
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_INVALID if e.code not in (0, None) else EXIT_OK
     try:

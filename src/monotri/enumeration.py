@@ -14,11 +14,11 @@ stream; ``enum_triangles`` stacks rows from it.
 class, each keyed by ``_key``: the row shifted to end in 0 or its mirror
 image shifted likewise, whichever is smaller; the end gaps decide which,
 so only a tie builds both.  ``_count_dmt(kernel, row)`` sums over that
-stream, whose transition weights carry the signs.  ``_count_mt(row)`` fixes
-the row above one entry at a time (``_mt_partial``, a third bounded cache),
-so the rows above the bottom rows of one level share their partial sums.
-The ``enum_*`` functions check their arguments when called and return the
-stream.
+stream, whose transition weights carry the signs.  ``_mt_partial`` fixes
+the row above one entry at a time, so the rows above the bottom rows of
+one level share their partial sums; the MT count of a key is its step-0
+partial sum.  The ``enum_*`` functions check their arguments when called
+and return the stream.
 
 Each sign-matrix class (ASMs, 2-ASMs and the W-objects for (n, i)) has one
 description, ``_matrix_class``: the machine that reads each row, the one
@@ -181,38 +181,19 @@ def _key(row):
 
 
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
-def _count_mt(row):
-    """The MT count of the rows above ``row``, a key of ``_key``, summed one
-    entry of the row above at a time by ``_mt_partial``."""
-    _check_bottom(row, TriangleClass.MT)
-    return _mt_partial.__wrapped__(row, 0)
-
-
-@functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def _count_dmt(kernel, row):
     """DP over distinct DMT rows; ``row`` is a key of ``_key``, and so is every
     row it looks up.  It streams the rows above whole from ``predecessors``,
     called through the module name once per state so that a wrapper bound
-    there sees every state, keys each row in the loop by ``_key``'s rule, and
-    weighs it by ``kernel``: ``plain`` 1, ``sc`` (-1)^sc, ``pair`` (-1) to
-    the number of pair values the row shares with ``row``, which dd and
-    dd_bar share."""
+    there sees every state, keys each row above by ``_key``, and weighs it
+    by ``kernel``: ``plain`` 1, ``sc`` (-1)^sc, ``pair`` (-1) to the number
+    of pair values the row shares with ``row``, which dd and dd_bar share."""
     value = 0
     leaf = len(row) == 2
     by_sc, by_pairs = kernel == "sc", kernel == "pair"
     below_pairs = _pair_values(row) if by_pairs else None
     for above, sc in predecessors(row, TriangleClass.DMT):
-        if leaf:
-            sub = 1
-        else:
-            first, last = above[0], above[-1]
-            ends = first - above[1] - above[-2] + last
-            if ends > 0:
-                sub = _count_dmt(kernel, tuple([x - last for x in above]))
-            elif ends < 0:
-                sub = _count_dmt(kernel, tuple([first - x for x in reversed(above)]))
-            else:
-                sub = _count_dmt(kernel, _key(above))
+        sub = 1 if leaf else _count_dmt(kernel, _key(above))
         if by_sc and sc & 1 or by_pairs and len(_pair_values(above) & below_pairs) & 1:
             value -= sub
         else:
@@ -227,8 +208,9 @@ def _mt_partial(mixed, j):
     One step writes entry ``j`` of the row above over slot ``j``: a value in
     ``[k_j, k_{j+1}]`` above the entry before it.  Step 0 shifts the tuple so
     that the row above starts at 0, so the rows above the bottom rows of one
-    level share these sums; the last step looks each finished row up in
-    ``_count_mt``.  ``_count_mt`` makes step 0 uncached, as its own value."""
+    level share these sums; the last step looks each finished row up by its
+    key at step 0.  With ``mixed`` a key of ``_key`` and ``j`` 0 this is the
+    DP's MT count of that row."""
     m = len(mixed) - 1
     lo = mixed[j] + (j > 0 and mixed[j - 1] == mixed[j])  # entry j - 1 may be k_j
     hi = mixed[j + 1]
@@ -236,7 +218,7 @@ def _mt_partial(mixed, j):
         if m == 1:
             return hi - lo + 1
         head = mixed[:j]
-        return sum([_count_mt(_key(head + (v,))) for v in range(lo, hi + 1)])
+        return sum([_mt_partial(_key(head + (v,)), 0) for v in range(lo, hi + 1)])
     tail = mixed[j + 1:]
     if j == 0:
         return sum([_mt_partial((0,) + tuple([x - v for x in tail]), 1)
@@ -246,8 +228,7 @@ def _mt_partial(mixed, j):
 
 
 def clear_caches() -> None:
-    """Empty the two DP memos and the MT partial sums."""
-    _count_mt.cache_clear()
+    """Empty the DMT DP memo and the MT partial sums."""
     _count_dmt.cache_clear()
     _mt_partial.cache_clear()
 
@@ -274,7 +255,7 @@ def _signed_count(bottom, cls, statistic, shape):
     else:
         # every weight is 1 on MT rows, which have neither pairs nor sign changes
         if cls is TriangleClass.MT:
-            value = _count_mt(_key(bottom))
+            value = _mt_partial(_key(bottom), 0)
         else:
             value = _count_dmt("pair" if statistic.startswith("dd") else statistic, _key(bottom))
     if statistic != "dd_with_prefactor":

@@ -14,7 +14,8 @@ class VerificationReport:
     """Outcome of one identity check.
 
     ``details`` rows are (check description, expected, actual); the status
-    is Verified exactly when the identity ran and every row agrees.
+    is Verified exactly when the identity ran, gave at least one row, and
+    every row agrees; a run that gives no row is Skipped.
     """
 
     identity_id: str

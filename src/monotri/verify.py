@@ -7,7 +7,8 @@ and returns a report rather than asserting.  Each identity is one
 detail rows, default and largest supported parameters, the parameter
 ``--n`` sets, and a note for reports whose primary parameter is below its
 largest value, which leave opt-in checks out.  Parameters are integers by
-``core``'s rule; one outside ``[0, largest]`` gives a Skipped report.
+``core``'s rule; one outside ``[0, largest]`` gives a Skipped report, and
+so does a run that yields no detail rows.
 ``lemma2`` draws its samples from its ``seed`` parameter.
 """
 
@@ -378,7 +379,9 @@ def verify(identity_id: str, params: dict | None = None) -> VerificationReport:
     status = VERIFIED if all(e == a for _, e, a in details) else FAILED
     cap = ident.limits[ident.primary]
     reason = None
-    if ident.note and merged[ident.primary] < cap:
+    if not details:
+        status, reason = SKIPPED, "no checks at these parameters"
+    elif ident.note and merged[ident.primary] < cap:
         reason = f"{ident.note} (largest supported: {cap})"
     return VerificationReport(
         identity_id, merged, status, details, (time.perf_counter() - start) * 1000.0,

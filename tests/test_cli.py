@@ -96,6 +96,8 @@ def test_verify_exit_codes(capsys):
     assert code == 0 and "Verified" in out
     code, _, err = run(capsys, "verify", "--id", "table", "--n", "15")
     assert code == 2 and "skipped" in err
+    code, out, err = run(capsys, "verify", "--id", "table", "--n", "0")
+    assert code == 2 and "Skipped" in out and "no checks" in err
     code, _, err = run(capsys, "verify", "--id", "nonsense")
     assert code == 2 and err
 
@@ -196,6 +198,19 @@ def test_bad_row_text(capsys):
     for text in ("1,two,3", "1_0,2", "+1,2", "1, 2", "1_0, +12,13"):
         code, out, err = run(capsys, "alpha", "--row", text)
         assert code == 2 and err and out == "", text
+
+
+def test_row_opening_with_minus_sign(capsys):
+    # a row is bound to --row whether written with a space or with "="
+    for argv in (("alpha", "--row", "-3,-1,2"), ("alpha", "--row=-3,-1,2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out.strip() == "41" and err == "", argv
+    code, spaced, _ = run(capsys, "enum", "--class", "dmt", "--row", "-1,-1,-2")
+    assert code == 0 and spaced
+    code, joined, _ = run(capsys, "enum", "--class", "dmt", "--row=-1,-1,-2")
+    assert code == 0 and spaced == joined
+    code, out, err = run(capsys, "alpha", "--row", "-3,x")
+    assert code == 2 and out == "" and "expected one argument" in err
 
 
 def test_results_only_on_stdout(capsys):

@@ -231,6 +231,22 @@ def test_op_terms_tables_are_merged_and_cleared():
         evaluate.clear_caches()
 
 
+def test_three_recursions_build_one_table():
+    # the tables themselves agree, point for point, which is stronger than
+    # agreeing on the functions applied to them
+    grid = [k for n in (2, 3, 4) for k in product(range(-2, 4), repeat=n)]
+    grid += list(product(range(-1, 3), repeat=5))
+    try:
+        evaluate.clear_caches()
+        for k in grid:
+            table = dict(evaluate._op_terms(k, 5))
+            assert table == dict(evaluate._op_terms(k, 9)), k
+            if len(k) >= 3:
+                assert table == dict(evaluate._op_terms(k, 8)), k
+    finally:
+        evaluate.clear_caches()
+
+
 def test_operator_recursion_reads_tables_that_start_at_0(monkeypatch):
     # its keys start at 0 and recursion 5 keeps the first bound, so tables
     # reached from different keys are shared rather than stored per translate
@@ -371,7 +387,7 @@ def test_strategies_agree_on_shifts_and_reflections(row, c):
 
 def test_operator_recursion_never_reads_dp_entries(monkeypatch):
     try:
-        for row, dp, cache in (((2, 4, 5, 8, 9), AlphaMethod.MONOTONE_DP, "_count_mt"),
+        for row, dp, cache in (((2, 4, 5, 8, 9), AlphaMethod.MONOTONE_DP, "_mt_partial"),
                                ((6, 3, 3, 2, 1), AlphaMethod.SIGNED_DMT_DP, "_count_dmt")):
             evaluate.clear_caches()
             want = alpha(row, AlphaMethod.OPERATOR_RECURSION)
@@ -455,26 +471,33 @@ def test_staircase_values():
 
 def test_dp_state_counts(monkeypatch):
     # pins the DP's state space: one memo entry per distinct row up to
-    # translation and mirroring, and the MT partial sums of the rows above;
-    # the rows streamed from predecessors pin the DMT transitions
-    pulled = []
+    # translation and mirroring (an MT state is a partial sum at step 0), and
+    # the MT partial sums of the rows above at later steps; the rows streamed
+    # from predecessors pin the DMT transitions
+    pulled, steps = [], []
     stream = enumeration.predecessors
+    partial = enumeration._mt_partial.__wrapped__
 
     def counting(k, cls):
         for item in stream(k, cls):
             pulled.append(item)
             yield item
 
+    def recording(mixed, j):
+        steps.append(j)
+        return partial(mixed, j)
+
     monkeypatch.setattr(enumeration, "predecessors", counting)
+    monkeypatch.setattr(enumeration, "_mt_partial", functools.lru_cache(maxsize=None)(recording))
     try:
         for row, states, partials, rows_pulled in ((tuple(range(11, 0, -1)), (0, 1293), 0, 7872),
                                                    ((0, 3, 5, 8, 10, 13), (324, 0), 1646, 0)):
             evaluate.clear_caches()
             pulled.clear()
+            steps.clear()
             alpha(row)
-            assert (enumeration._count_mt.cache_info().currsize,
-                    enumeration._count_dmt.cache_info().currsize) == states, row
-            assert enumeration._mt_partial.cache_info().currsize == partials, row
+            assert (steps.count(0), enumeration._count_dmt.cache_info().currsize) == states, row
+            assert len(steps) - steps.count(0) == partials, row
             assert len(pulled) == rows_pulled, row
     finally:
         evaluate.clear_caches()
@@ -485,13 +508,16 @@ def test_clear_caches_empties_every_cache():
     alpha((0, 3, 5, 8, 10, 13))
     alpha((6, 3, 3, 2, 1))
     alpha((2, 0, 3), AlphaMethod.OPERATOR_RECURSION)
-    dp = (enumeration._count_mt, enumeration._count_dmt, enumeration._mt_partial)
-    caches = dp + (evaluate._alpha_op, evaluate._op_terms)
-    assert all(cache.cache_info().currsize for cache in caches)
+    # every cache of the two modules is found, so a new one must be cleared
+    caches = {module: [f for f in vars(module).values() if hasattr(f, "cache_info")]
+              for module in (enumeration, evaluate)}
+    dp, found = caches[enumeration], caches[enumeration] + caches[evaluate]
+    assert dp and caches[evaluate]
+    assert all(cache.cache_info().currsize for cache in found)
     enumeration.clear_caches()
     assert not any(cache.cache_info().currsize for cache in dp)
     evaluate.clear_caches()
-    assert not any(cache.cache_info().currsize for cache in caches)
+    assert not any(cache.cache_info().currsize for cache in found)
 
 
 def test_mt_dp_against_row_stream():
@@ -522,12 +548,10 @@ def test_staircase_15():
 
 
 def test_cache_limit_keeps_results_correct(monkeypatch):
-    tiny_mt = functools.lru_cache(maxsize=2)(enumeration._count_mt.__wrapped__)
     tiny_dmt = functools.lru_cache(maxsize=2)(enumeration._count_dmt.__wrapped__)
     tiny_partial = functools.lru_cache(maxsize=2)(enumeration._mt_partial.__wrapped__)
     tiny_op = functools.lru_cache(maxsize=2)(evaluate._alpha_op.__wrapped__)
     tiny_terms = functools.lru_cache(maxsize=2)(evaluate._op_terms.__wrapped__)
-    monkeypatch.setattr(enumeration, "_count_mt", tiny_mt)
     monkeypatch.setattr(enumeration, "_count_dmt", tiny_dmt)
     monkeypatch.setattr(enumeration, "_mt_partial", tiny_partial)
     monkeypatch.setattr(evaluate, "_alpha_op", tiny_op)
@@ -535,7 +559,7 @@ def test_cache_limit_keeps_results_correct(monkeypatch):
     assert alpha((2, 4, 5, 8, 9), AlphaMethod.MONOTONE_DP) == 16939
     assert alpha((6, 3, 3, 2, 1), AlphaMethod.SIGNED_DMT_DP) == 3
     assert alpha((2, 4, 5, 8, 9), AlphaMethod.OPERATOR_RECURSION) == 16939
-    assert 0 < tiny_mt.cache_info().currsize <= 2 and 0 < tiny_dmt.cache_info().currsize <= 2
+    assert 0 < tiny_dmt.cache_info().currsize <= 2
     assert tiny_op.cache_info().currsize <= 2
     assert 0 < tiny_partial.cache_info().currsize <= 2
     assert 0 < tiny_terms.cache_info().currsize <= 2

@@ -39,6 +39,17 @@ def test_out_of_range_parameters_skip():
     assert report.details == ()
 
 
+@pytest.mark.parametrize("identity_id", ALL_IDS)
+def test_run_without_checks_is_skipped(identity_id):
+    # at 0 most identities have nothing to check, which verifies nothing
+    report = verify(identity_id, {IDENTITIES[identity_id].primary: 0})
+    if report.details:
+        assert report.status == "Verified"
+    else:
+        assert report.status == "Skipped"
+        assert report.reason == "no checks at these parameters"
+
+
 def test_lemma2_is_seed_deterministic():
     a = verify("lemma2", {"seed": 42})
     b = verify("lemma2", {"seed": 42})
