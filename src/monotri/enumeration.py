@@ -14,11 +14,12 @@ stream; ``enum_triangles`` stacks rows from it.
 class, each keyed by ``_key``: the row shifted to end in 0 or its mirror
 image shifted likewise, whichever is smaller; the end gaps decide which,
 so only a tie builds both.  ``_count_dmt(kernel, row)`` sums over that
-stream, whose transition weights carry the signs.  ``_mt_partial`` fixes
-the row above one entry at a time, so the rows above the bottom rows of
-one level share their partial sums; the MT count of a key is its step-0
-partial sum.  The ``enum_*`` functions check their arguments when called
-and return the stream.
+stream, whose transition weights carry the signs, or steps a first gap of
+2 or more down by one over the rows above the rest of the key.
+``_mt_partial`` fixes the row above one entry at a time, so the rows above
+the bottom rows of one level share their partial sums; the MT count of a
+key is its step-0 partial sum.  The ``enum_*`` functions check their
+arguments when called and return the stream.
 
 Each sign-matrix class (ASMs, 2-ASMs and the W-objects for (n, i)) has one
 description, ``_matrix_class``: the machine that reads each row, the one
@@ -53,6 +54,7 @@ from .errors import InternalError, InvalidInputError
 STATISTICS = ("plain", "sc", "dd_with_prefactor", "dd_bar")
 
 _MEMO_ENTRIES = 1 << 20
+_WARM_STRIDE = 64
 
 
 class TriangleClass(Enum):
@@ -183,18 +185,41 @@ def _key(row):
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def _count_dmt(kernel, row):
     """DP over distinct DMT rows; ``row`` is a key of ``_key``, and so is every
-    row it looks up.  It streams the rows above whole from ``predecessors``,
-    called through the module name once per state so that a wrapper bound
-    there sees every state, keys each row above by ``_key``, and weighs it
-    by ``kernel``: ``plain`` 1, ``sc`` (-1)^sc, ``pair`` (-1) to the number
-    of pair values the row shares with ``row``, which dd and dd_bar share."""
-    value = 0
-    leaf = len(row) == 2
+    row it looks up.  It sums the rows above from ``predecessors``, called
+    through the module name once per state so that a wrapper bound there
+    sees every state, keys each row above by ``_key``, and weighs it by
+    ``kernel``: ``plain`` 1, ``sc`` (-1)^sc, ``pair`` (-1) to the number of
+    pair values the row shares with ``row``, which dd and dd_bar share.
+
+    A key ``(k1,) + R`` of three or more entries with ``k1 - R[0] >= 2``
+    steps along that gap: its count is that of ``(k1 - 1,) + R`` plus, for
+    each ``(A, sc)`` above R, that of ``(k1 - 1,) + A`` weighed as above
+    with one more sign change under ``sc``.  The rows above with first
+    entry at most k1 - 2 are those above ``(k1 - 1,) + R`` with the same
+    weights, as k1 and k1 - 1 are singletons outside them; the rest are the
+    ``(k1 - 1,) + A``, that entry a newcomer.  With nothing above R the
+    count is that at gap 1.  The step below comes first, and a gap that is
+    a multiple of ``_WARM_STRIDE`` first counts the smaller multiples from
+    the bottom up, so the recursion is a few strides deep at most."""
     by_sc, by_pairs = kernel == "sc", kernel == "pair"
     below_pairs = _pair_values(row) if by_pairs else None
-    for above, sc in predecessors(row, TriangleClass.DMT):
-        sub = 1 if leaf else _count_dmt(kernel, _key(above))
-        if by_sc and sc & 1 or by_pairs and len(_pair_values(above) & below_pairs) & 1:
+    first, rest = row[0], row[1:]
+    gap = first - rest[0]
+    if len(rest) < 2 or gap < 2:
+        head, value, stream = (), 0, predecessors(row, TriangleClass.DMT)
+    else:
+        head, stream = (first - 1,), list(predecessors(rest, TriangleClass.DMT))
+        if not stream:
+            return _count_dmt(kernel, _key((rest[0] + 1,) + rest))
+        if gap % _WARM_STRIDE == 0:
+            for a in range(rest[0] + _WARM_STRIDE, first, _WARM_STRIDE):
+                _count_dmt(kernel, _key((a,) + rest))
+        value = _count_dmt(kernel, _key(head + rest))
+    leaf = len(row) == 2
+    flip = len(head)  # an entry k1 - 1 in front is one more sign change
+    for above, sc in stream:
+        sub = 1 if leaf else _count_dmt(kernel, _key(head + above))
+        if by_sc and (sc + flip) & 1 or by_pairs and len(_pair_values(above) & below_pairs) & 1:
             value -= sub
         else:
             value += sub

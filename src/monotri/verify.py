@@ -189,6 +189,8 @@ def _random_wdec_row(rng, max_len, hi):
 
 
 def _run_lemma2(params):
+    if params["max_len"] < 2 or params["max_entry"] < 1:
+        return  # no row of two or more entries from 1..max_entry
     rng = random.Random(params["seed"])
     signed_rows = {}
     for s in range(params["samples"]):

@@ -1,6 +1,7 @@
 import functools
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -303,6 +304,51 @@ def test_dp_counts_are_mirror_invariant(cls, kernel, statistic):
         want = count(k)
         assert count(mirror(k)) == want, k
         assert signed_count(k, cls, statistic) == want, k
+
+
+@pytest.mark.parametrize("kernel, statistic", [("plain", "plain"), ("sc", "sc"), ("pair", "dd_bar")])
+def test_dp_counts_at_wide_first_gaps(kernel, statistic):
+    # the DP telescopes along a first gap of 2 or more: every DMT row of 2..5
+    # entries whose first entry reaches 12 over a rest from 1..5, and its
+    # mirror image, against the oracle that streams whole rows
+    count = stream_dp(TriangleClass.DMT, kernel)
+    rests = [r for m in range(1, 5) for r in combinations_with_replacement(range(5, 0, -1), m)
+             if max(map(r.count, r)) <= 2]
+    rows = [(k1,) + r for r in rests for k1 in range(r[0], 13) if r.count(k1) < 2]
+    assert len(rows) == 806
+    for k in rows:
+        want = count(k)
+        assert signed_count(k, TriangleClass.DMT, statistic) == want, k
+        assert signed_count(mirror(k), TriangleClass.DMT, statistic) == want, k
+
+
+def lagrange_at(points, x):
+    """The value at ``x`` of the polynomial through ``points``, exactly."""
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(points):
+        term = Fraction(yi)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                term *= Fraction(x - xj, xi - xj)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("k1, rest", [
+    (300, (3, 3, 2, 2, 1, 1)),
+    (40, (5, 5, 4, 4, 3, 3, 2, 2, 1, 1)),
+    (200, (4, 3, 3, 1)),
+    (5000, (2, 1)),
+    (997, (3, 3, 2, 2, 1, 1)),  # the W-row for n = 4, i = 994
+])
+def test_wide_first_gap_matches_polynomial(k1, rest):
+    # alpha(n; k) has degree <= n - 1 in k1 (Fischer 2006), so its values at
+    # the n narrowest first gaps, by the oracle, fix it at any k1; a gap in
+    # the thousands must not deepen the recursion
+    n = len(rest) + 1
+    count = stream_dp(TriangleClass.DMT, "sc")
+    points = [(a, count((a,) + rest)) for a in range(rest[0] + 1, rest[0] + n + 1)]
+    assert alpha((k1,) + rest) == lagrange_at(points, k1)
 
 
 def test_enum_matrices_counts():

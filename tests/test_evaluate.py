@@ -490,7 +490,7 @@ def test_dp_state_counts(monkeypatch):
     monkeypatch.setattr(enumeration, "predecessors", counting)
     monkeypatch.setattr(enumeration, "_mt_partial", functools.lru_cache(maxsize=None)(recording))
     try:
-        for row, states, partials, rows_pulled in ((tuple(range(11, 0, -1)), (0, 1293), 0, 7872),
+        for row, states, partials, rows_pulled in ((tuple(range(11, 0, -1)), (0, 1332), 0, 5675),
                                                    ((0, 3, 5, 8, 10, 13), (324, 0), 1646, 0)):
             evaluate.clear_caches()
             pulled.clear()

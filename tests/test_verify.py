@@ -41,13 +41,16 @@ def test_out_of_range_parameters_skip():
 
 @pytest.mark.parametrize("identity_id", ALL_IDS)
 def test_run_without_checks_is_skipped(identity_id):
-    # at 0 most identities have nothing to check, which verifies nothing
-    report = verify(identity_id, {IDENTITIES[identity_id].primary: 0})
-    if report.details:
-        assert report.status == "Verified"
-    else:
-        assert report.status == "Skipped"
-        assert report.reason == "no checks at these parameters"
+    # 0, 1 and 2 lie inside every parameter's range; at 0 most identities
+    # have nothing to check, which verifies nothing, and no run raises
+    for key in IDENTITIES[identity_id].defaults:
+        for value in (0, 1, 2):
+            report = verify(identity_id, {key: value})
+            if report.details:
+                assert report.status == "Verified", (key, value)
+            else:
+                assert report.status == "Skipped", (key, value)
+                assert report.reason == "no checks at these parameters"
 
 
 def test_lemma2_is_seed_deterministic():
