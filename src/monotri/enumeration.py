@@ -12,10 +12,13 @@ stream; ``enum_triangles`` stacks rows from it.
 
 ``signed_count`` runs a DP over distinct rows, one bounded LRU cache per
 class, each keyed by ``_key``: the row shifted to end in 0 or its mirror
-image shifted likewise, whichever is smaller; the end gaps decide which,
-so only a tie builds both.  ``_count_dmt(kernel, row)`` sums over that
-stream, whose transition weights carry the signs, or steps a first gap of
-2 or more down by one over the rows above the rest of the key.
+image shifted likewise, whichever is smaller; the first pair of gaps that
+differ, read inward from both ends, decides which, and one tuple is built.
+``_count_dmt(kernel, row)`` sums over the key's rows above, from
+``_rows_above`` unchecked, whose transition weights carry the signs, or
+steps a first gap of 2 or more down by one over the rows above the rest of
+the key.  Those come from ``_rest_rows``, a small LRU cache that streams
+and checks each rest once for its whole first-gap chain.
 ``_mt_partial`` fixes the row above one entry at a time, so the rows above
 the bottom rows of one level share their partial sums; the MT count of a
 key is its step-0 partial sum.  The ``enum_*`` functions check their
@@ -55,6 +58,10 @@ STATISTICS = ("plain", "sc", "dd_with_prefactor", "dd_bar")
 
 _MEMO_ENTRIES = 1 << 20
 _WARM_STRIDE = 64
+# rests held by _rest_rows: on the cold alpha-cold rows of perfbench a
+# larger bound gains no hit, and an unbounded table more than doubles the
+# peak memory of staircase n = 15 for no gain in time
+_REST_ENTRIES = 256
 
 
 class TriangleClass(Enum):
@@ -168,28 +175,45 @@ def _key(row):
     """The DP key of ``row``: the row shifted to end in 0 or its mirror image
     (-k_n, ..., -k_1) shifted likewise, whichever tuple is smaller.  Mirroring
     maps MT rows to MT rows and DMT rows to DMT rows, and keeps every
-    kernel's count.  Both tuples open with the spread k_1 - k_n, and the
-    shifted one is smaller where k_1 - k_2 > k_{n-1} - k_n, the mirrored one
-    where it is less; only a tie of the end gaps builds both."""
-    first, last = row[0], row[-1]
-    ends = first - row[1] - row[-2] + last
-    if ends > 0:
-        return tuple([x - last for x in row])
-    mirrored = tuple([first - x for x in reversed(row)])
-    if ends < 0:
-        return mirrored
-    shifted = tuple([x - last for x in row])
-    return shifted if shifted <= mirrored else mirrored
+    kernel's count.  Entry i of the shifted tuple is the spread k_1 - k_n
+    less the first i - 1 gaps, of the mirrored one the spread less the last
+    i - 1, so the first pair of gaps ``k_i - k_{i+1}``, ``k_{n-i} - k_{n-i+1}``
+    that differ, read inward, decides: the shifted tuple where the front gap
+    is wider, the mirrored one where it is narrower.  A row whose gaps read
+    the same both ways is its own mirror image up to shift.  One tuple is
+    built."""
+    i, j = 0, len(row) - 1
+    while i + 1 < j:
+        ends = row[i] - row[i + 1] - row[j - 1] + row[j]
+        if ends < 0:
+            first = row[0]
+            return tuple([first - x for x in reversed(row)])
+        if ends:
+            break
+        i += 1
+        j -= 1
+    last = row[-1]
+    return tuple([x - last for x in row])
+
+
+@functools.lru_cache(maxsize=_REST_ENTRIES)
+def _rest_rows(rest):
+    """The DMT rows above ``rest`` with their sign changes, as one tuple, from
+    ``predecessors`` called through the module name.  Every state of a
+    first-gap chain ``(k1,) + rest``, ``(k1 - 1,) + rest``, ... reads it, so
+    a rest is streamed and checked once per chain, not once per state."""
+    return tuple(predecessors(rest, TriangleClass.DMT))
 
 
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def _count_dmt(kernel, row):
     """DP over distinct DMT rows; ``row`` is a key of ``_key``, and so is every
-    row it looks up.  It sums the rows above from ``predecessors``, called
-    through the module name once per state so that a wrapper bound there
-    sees every state, keys each row above by ``_key``, and weighs it by
-    ``kernel``: ``plain`` 1, ``sc`` (-1)^sc, ``pair`` (-1) to the number of
-    pair values the row shares with ``row``, which dd and dd_bar share.
+    row it looks up.  It sums the rows above, keys each by ``_key``, and
+    weighs it by ``kernel``: ``plain`` 1, ``sc`` (-1)^sc, ``pair`` (-1) to
+    the number of pair values the row shares with ``row``, which dd and
+    dd_bar share.  A key of two entries or with first gap at most 1 streams
+    its rows above from ``_rows_above``, unchecked, as the DP built it from
+    a checked row.
 
     A key ``(k1,) + R`` of three or more entries with ``k1 - R[0] >= 2``
     steps along that gap: its count is that of ``(k1 - 1,) + R`` plus, for
@@ -197,7 +221,8 @@ def _count_dmt(kernel, row):
     with one more sign change under ``sc``.  The rows above with first
     entry at most k1 - 2 are those above ``(k1 - 1,) + R`` with the same
     weights, as k1 and k1 - 1 are singletons outside them; the rest are the
-    ``(k1 - 1,) + A``, that entry a newcomer.  With nothing above R the
+    ``(k1 - 1,) + A``, that entry a newcomer.  The rows above R come from
+    ``_rest_rows``, shared by the whole chain.  With nothing above R the
     count is that at gap 1.  The step below comes first, and a gap that is
     a multiple of ``_WARM_STRIDE`` first counts the smaller multiples from
     the bottom up, so the recursion is a few strides deep at most."""
@@ -206,9 +231,9 @@ def _count_dmt(kernel, row):
     first, rest = row[0], row[1:]
     gap = first - rest[0]
     if len(rest) < 2 or gap < 2:
-        head, value, stream = (), 0, predecessors(row, TriangleClass.DMT)
+        head, value, stream = (), 0, _rows_above(row, TriangleClass.DMT)
     else:
-        head, stream = (first - 1,), list(predecessors(rest, TriangleClass.DMT))
+        head, stream = (first - 1,), _rest_rows(rest)
         if not stream:
             return _count_dmt(kernel, _key((rest[0] + 1,) + rest))
         if gap % _WARM_STRIDE == 0:
@@ -253,8 +278,9 @@ def _mt_partial(mixed, j):
 
 
 def clear_caches() -> None:
-    """Empty the DMT DP memo and the MT partial sums."""
+    """Empty the DMT DP memo, its rest rows and the MT partial sums."""
     _count_dmt.cache_clear()
+    _rest_rows.cache_clear()
     _mt_partial.cache_clear()
 
 

@@ -1,8 +1,10 @@
 import functools
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
+from operator import sub
 
 import pytest
 
@@ -138,6 +140,17 @@ def _key_oracle(row):
     return min(shifted, mirrored)
 
 
+def _tied_gap_pairs(k):
+    """How many pairs of gaps tie, read inward from both ends, and whether
+    all of them do."""
+    gaps = [a - b for a, b in zip(k, k[1:])]
+    pairs = list(zip(gaps, reversed(gaps)))[:len(gaps) // 2]
+    tied = 0
+    while tied < len(pairs) and pairs[tied][0] == pairs[tied][1]:
+        tied += 1
+    return tied, tied == len(pairs)
+
+
 def test_key_is_smaller_of_shifted_and_mirrored():
     # every strictly increasing and every DMT row of length 2..6 over 0..6;
     # the rows whose gaps read the same both ways tie at the end gaps
@@ -147,9 +160,20 @@ def test_key_is_smaller_of_shifted_and_mirrored():
     palindromes = 0
     for k in rows:
         assert enumeration._key(k) == _key_oracle(k), k
-        gaps = [a - b for a, b in zip(k, k[1:])]
-        palindromes += gaps == gaps[::-1]
+        palindromes += _tied_gap_pairs(k)[1]
     assert (len(rows), palindromes) == (1008, 188)
+    # rows of 8 and 9 entries, DMT with gaps 0..2 and MT with gaps 1..3: the
+    # first pair of gaps that differ, read inward, decides
+    rows = [tuple(accumulate(gaps, sub, initial=0)) for n in (8, 9)
+            for gaps in product((0, 1, 2), repeat=n - 1) if (0, 0) not in zip(gaps, gaps[1:])]
+    rows += [tuple(accumulate(gaps, initial=0)) for n in (8, 9)
+             for gaps in product((1, 2, 3), repeat=n - 1)]
+    tallies = Counter()
+    for k in rows:
+        assert enumeration._key(k) == _key_oracle(k), k
+        tied, palindrome = _tied_gap_pairs(k)
+        tallies["palindrome" if palindrome else tied] += 1
+    assert tallies == {0: 8848, 1: 2916, 2: 1016, 3: 270, "palindrome": 266}
 
 
 @pytest.mark.parametrize("cls, bottom", [

@@ -472,33 +472,52 @@ def test_staircase_values():
 def test_dp_state_counts(monkeypatch):
     # pins the DP's state space: one memo entry per distinct row up to
     # translation and mirroring (an MT state is a partial sum at step 0), and
-    # the MT partial sums of the rows above at later steps; the rows streamed
-    # from predecessors pin the DMT transitions
-    pulled, steps = [], []
-    stream = enumeration.predecessors
+    # the MT partial sums of the rows above at later steps.  The DMT
+    # transitions are the rows a state sums: its own rows above, or those of
+    # its rest read from the rest memo.  The rows streamed are those the
+    # kernel made, once per rest of a first-gap chain
+    streamed, summed, steps = [], [], []
+    kernel = enumeration._rows_above
+    rest_rows = enumeration._rest_rows
     partial = enumeration._mt_partial.__wrapped__
 
-    def counting(k, cls):
-        for item in stream(k, cls):
-            pulled.append(item)
+    def streaming(k, cls):
+        for item in kernel(k, cls):
+            streamed.append(item)
             yield item
+
+    def summing(k, cls):
+        for item in streaming(k, cls):
+            summed.append(item)
+            yield item
+
+    def reading_rest(rest):
+        rows = rest_rows(rest)
+        summed.extend(rows)
+        return rows
+
+    reading_rest.cache_clear = rest_rows.cache_clear
 
     def recording(mixed, j):
         steps.append(j)
         return partial(mixed, j)
 
-    monkeypatch.setattr(enumeration, "predecessors", counting)
+    # the rest memo fills through predecessors; a whole-row state calls the kernel
+    monkeypatch.setattr(enumeration, "predecessors", streaming)
+    monkeypatch.setattr(enumeration, "_rows_above", summing)
+    monkeypatch.setattr(enumeration, "_rest_rows", reading_rest)
     monkeypatch.setattr(enumeration, "_mt_partial", functools.lru_cache(maxsize=None)(recording))
     try:
-        for row, states, partials, rows_pulled in ((tuple(range(11, 0, -1)), (0, 1332), 0, 5675),
-                                                   ((0, 3, 5, 8, 10, 13), (324, 0), 1646, 0)):
+        for row, states, partials, transitions, rows_streamed in (
+                (tuple(range(11, 0, -1)), (0, 1332), 0, 5675, 5094),
+                ((0, 3, 5, 8, 10, 13), (324, 0), 1646, 0, 0)):
             evaluate.clear_caches()
-            pulled.clear()
-            steps.clear()
+            for seen in (streamed, summed, steps):
+                seen.clear()
             alpha(row)
             assert (steps.count(0), enumeration._count_dmt.cache_info().currsize) == states, row
             assert len(steps) - steps.count(0) == partials, row
-            assert len(pulled) == rows_pulled, row
+            assert (len(summed), len(streamed)) == (transitions, rows_streamed), row
     finally:
         evaluate.clear_caches()
 
@@ -552,13 +571,18 @@ def test_cache_limit_keeps_results_correct(monkeypatch):
     tiny_partial = functools.lru_cache(maxsize=2)(enumeration._mt_partial.__wrapped__)
     tiny_op = functools.lru_cache(maxsize=2)(evaluate._alpha_op.__wrapped__)
     tiny_terms = functools.lru_cache(maxsize=2)(evaluate._op_terms.__wrapped__)
+    tiny_rest = functools.lru_cache(maxsize=2)(enumeration._rest_rows.__wrapped__)
     monkeypatch.setattr(enumeration, "_count_dmt", tiny_dmt)
+    monkeypatch.setattr(enumeration, "_rest_rows", tiny_rest)
     monkeypatch.setattr(enumeration, "_mt_partial", tiny_partial)
     monkeypatch.setattr(evaluate, "_alpha_op", tiny_op)
     monkeypatch.setattr(evaluate, "_op_terms", tiny_terms)
     assert alpha((2, 4, 5, 8, 9), AlphaMethod.MONOTONE_DP) == 16939
     assert alpha((6, 3, 3, 2, 1), AlphaMethod.SIGNED_DMT_DP) == 3
     assert alpha((2, 4, 5, 8, 9), AlphaMethod.OPERATOR_RECURSION) == 16939
+    # a W-row steps along its first gap over rests read from the rest memo
+    assert alpha((7, 4, 4, 3, 3, 2, 2, 1, 1)) == refined_asm(5, 3) == 135
+    assert 0 < tiny_rest.cache_info().currsize <= 2
     assert 0 < tiny_dmt.cache_info().currsize <= 2
     assert tiny_op.cache_info().currsize <= 2
     assert 0 < tiny_partial.cache_info().currsize <= 2

@@ -52,6 +52,21 @@ def test_integer_rule_only_in_core():
     assert not found, found
 
 
+def test_every_memo_is_bounded():
+    # each lru_cache in the DP and evaluation modules is a module-level
+    # function with a finite maxsize, so no memo grows without a bound
+    for name in ("enumeration", "evaluate"):
+        module = importlib.import_module(f"monotri.{name}")
+        path = SRC / f"{name}.py"
+        written = [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                   if isinstance(node, (ast.Name, ast.Attribute))
+                   and getattr(node, "id", getattr(node, "attr", None)) in ("lru_cache", "cache")]
+        caches = {attr: f.cache_info().maxsize for attr, f in vars(module).items()
+                  if hasattr(f, "cache_info") and f.__module__ == module.__name__}
+        assert caches and len(caches) == len(written), (name, caches, written)
+        assert all(isinstance(size, int) for size in caches.values()), (name, caches)
+
+
 PERFBENCH = SRC.parents[1] / "perfbench"
 
 
