@@ -17,7 +17,6 @@ from .core import (
     StatRecord,
     TriangularArray,
     classify_row_sequence,
-    condition3_equivalent,
     transition_stats,
     triangle_stats,
     validate_dmt,

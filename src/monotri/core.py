@@ -214,29 +214,6 @@ def validate_dmt(t: TriangularArray) -> bool:
     return True
 
 
-def condition3_equivalent(t: TriangularArray) -> bool:
-    """Literal evaluation of the local reformulation of the NSD condition.
-
-    An entry equal to its SE-neighbour and smaller than its SW-neighbour must
-    equal its right neighbour; symmetrically, an entry equal to its
-    SW-neighbour and greater than its SE-neighbour must equal its left
-    neighbour.  Only valid on triangles already satisfying the diagonal and
-    multiplicity conditions.
-    """
-    rows = t.rows
-    _dmt_counts(rows)
-    for upper, lower in zip(rows, rows[1:]):
-        for j, x in enumerate(upper):
-            sw, se = lower[j], lower[j + 1]
-            if x == se and x < sw:
-                if j + 1 >= len(upper) or upper[j + 1] != x:
-                    return False
-            if x == sw and x > se:
-                if j == 0 or upper[j - 1] != x:
-                    return False
-    return True
-
-
 def transition_stats(k, l) -> tuple[int, int]:
     """Pairs in ``l`` and newcomers of ``l`` relative to the row ``k`` below it.
 

@@ -72,10 +72,13 @@ class TriangleClass(Enum):
 def _check_bottom(k, cls, shape=None) -> tuple[int, ...]:
     k = tuple(k)
     shape = shape or classify_row_sequence(k)
-    if cls is TriangleClass.MT and shape is not RowSeqClass.STRICTLY_INCREASING:
-        raise InvalidInputError(f"{k} is not strictly increasing")
+    if cls is TriangleClass.MT:
+        if shape is not RowSeqClass.STRICTLY_INCREASING:
+            raise InvalidInputError(f"{k} is not strictly increasing")
+    elif cls is not TriangleClass.DMT:
+        raise InvalidInputError(f"unknown triangle class {cls!r}")
     # a single entry is tagged strictly increasing, and fits DMT too
-    if cls is TriangleClass.DMT and len(k) > 1 and shape is not RowSeqClass.WEAKLY_DECREASING_MULT2:
+    elif len(k) > 1 and shape is not RowSeqClass.WEAKLY_DECREASING_MULT2:
         raise InvalidInputError(f"{k} is not weakly decreasing with multiplicity <= 2")
     return k
 
@@ -113,8 +116,8 @@ def _rows_above(k, cls):
         return
     # single[j]: k_j occurs once in k, read off its neighbours.  A run begun
     # at a singleton k_j could neither pair nor close, so none is begun there;
-    # one begun at a singleton k_{j+1} must pair next.  A prefix whose next
-    # entry has one value grows in place: the stack holds branch points only.
+    # one begun at a singleton k_{j+1} must pair next.  A prefix grows in place
+    # while its next entry has one value; it never has none, as k has no triple.
     single = [a != b != c for a, b, c in zip((None,) + k, k, k[1:] + (None,))]
     # (prefix, last value, last run length, sc so far), from the empty prefix
     stack = [((), None, 2, 0)]
@@ -137,8 +140,6 @@ def _rows_above(k, cls):
                 stack += [(row + (v,), v, 1, sc + (hi > v > lo)) for v in range(lo, top + 1)]
                 if pair:
                     stack.append((row + (hi,), hi, 2, sc + 1))
-                break
-            if not choices:
                 break
             if pair:
                 row, last, run, sc = row + (hi,), hi, 2, sc + 1

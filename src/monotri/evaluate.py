@@ -46,6 +46,7 @@ from .core import (
     _check_wni,
     _dmt_bottom,
     _int_entries,
+    _is_int,
     classify_row_sequence,
 )
 from .enumeration import _MEMO_ENTRIES, TriangleClass, _signed_count
@@ -97,19 +98,12 @@ def _op_terms(k, variant):
                 table[(t,) + l] += sign * c
         for l, c in _op_terms((k[1] + 1,) + k[2:], 9):
             table[(k[1],) + l] += c
-    elif variant == 8 and len(k) >= 3:
-        points, sign = _ext_range(k[-2], k[-1])
-        for l, c in _op_terms(k[:-1], 8):
-            for t in points:
-                table[l + (t,)] += sign * c
-        for l, c in _op_terms(k[:-2], 8):
-            table[l + (k[-2], k[-2])] -= c
-    else:  # variant 5; also the two-bound base of variant 8
+    else:  # variant 5
         points, sign = _ext_range(k[-2] + 1, k[-1])
-        for l, c in _op_terms(k[:-1], variant):
+        for l, c in _op_terms(k[:-1], 5):
             for t in points:
                 table[l + (t,)] += sign * c
-        for l, c in _op_terms(k[:-2] + (k[-2] - 1,), variant):
+        for l, c in _op_terms(k[:-2] + (k[-2] - 1,), 5):
             table[l + (k[-2],)] += c
     return tuple([(point, c) for point, c in table.items() if c])
 
@@ -117,16 +111,14 @@ def _op_terms(k, variant):
 def sum_operator(func, k, variant: int = 5) -> int:
     """Apply the summation operator with bound vector ``k`` to ``func``, a
     callable in len(k) - 1 integer arguments: expand it by the chosen
-    recursion (5 peels the last bound with an open sum, 8 with a closed sum
-    and a correction, 9 peels the first bound), call ``func`` once per point."""
+    recursion (5 peels the last bound, 9 the first), call ``func`` once per
+    point.  ``variant`` is 5 or 9, an integer by ``core``'s rule."""
     k = _int_entries(k)
     n = len(k)
     if n < 1:
         raise InvalidInputError("bound vector must be non-empty")
-    if variant not in (5, 8, 9):
+    if not (_is_int(variant) and variant in (5, 9)):
         raise InvalidInputError(f"unknown variant {variant!r}")
-    if variant == 8 and n < 3:
-        raise InvalidInputError("variant 8 needs at least three bounds")
     if variant == 9 and n < 2:
         raise InvalidInputError("variant 9 needs at least two bounds")
     return sum(c * func(*point) for point, c in _op_terms(k, variant))
@@ -208,12 +200,9 @@ def alpha(
     return _alpha_op_at(*k)
 
 
-def forward_difference_power(g, i: int, x: int, backward: bool = False) -> int:
-    """i-th forward difference of g at x via the binomial expansion; with
-    ``backward`` the backward operator instead."""
+def forward_difference_power(g, i: int, x: int) -> int:
+    """i-th forward difference of g at x via the binomial expansion."""
     _check_size(i, "i")
-    if backward:
-        return sum(binomial(i, j) * (-1) ** j * g(x - j) for j in range(i + 1))
     return sum(binomial(i, j) * (-1) ** (i - j) * g(x + j) for j in range(i + 1))
 
 

@@ -1,16 +1,14 @@
-"""The four constrained-word machines over the alphabet {-1, 0, 1}.
+"""The three constrained-word machines over the alphabet {-1, 0, 1}.
 
 A machine reads a word one symbol at a time, and its state is the partial
 sum of the symbols read so far, starting at 0.  Its table maps each partial
 sum and symbol to the next partial sum; a missing entry rejects the word.
-Two tables cover all four machines:
+Two tables cover the three machines:
 
 * ``asm-word`` (rows and columns of ordinary ASMs: partial sums in {0,1},
   final sum 1) and ``modified-row`` (the one distinguished row of a
   W-object: the same table, final sum 0);
-* ``2asm-column`` (columns of 2-ASMs: partial sums in {0,1,2}, final sum 2)
-  and ``s1-column`` (a 2-ASM column whose even-length prefixes sum to 0 or
-  2, the columns of the 2-ASMs that encode structured triangles).
+* ``2asm-column`` (columns of 2-ASMs: partial sums in {0,1,2}, final sum 2).
 
 A walk rests at a partial sum that has a 0-loop (``table[s].get(0) == s``):
 0 and 1 in the ASM table, 0 and 2 in the 2-ASM table, whose partial sum 1
@@ -35,7 +33,6 @@ from .errors import InvalidInputError, ParseError
 ASM_WORD = "asm-word"
 TWO_ASM_COLUMN = "2asm-column"
 MODIFIED_ROW = "modified-row"
-S1_COLUMN = "s1-column"
 
 
 @dataclass(frozen=True)
@@ -44,8 +41,6 @@ class MachineSpec:
     # partial sum -> symbol -> next partial sum
     table: dict
     accept: frozenset
-    # extra predicate: even-length prefix sums restricted to this set
-    even_prefix_sums: frozenset | None = None
 
 
 _ASM_TABLE = {0: {0: 0, 1: 1}, 1: {0: 1, -1: 0}}
@@ -55,8 +50,6 @@ MACHINES = {
     ASM_WORD: MachineSpec(ASM_WORD, _ASM_TABLE, frozenset({1})),
     MODIFIED_ROW: MachineSpec(MODIFIED_ROW, _ASM_TABLE, frozenset({0})),
     TWO_ASM_COLUMN: MachineSpec(TWO_ASM_COLUMN, _2ASM_TABLE, frozenset({2})),
-    S1_COLUMN: MachineSpec(S1_COLUMN, _2ASM_TABLE, frozenset({2}),
-                           even_prefix_sums=frozenset({0, 2})),
 }
 
 
@@ -87,11 +80,6 @@ def _check_word(word):
     return word
 
 
-def _allowed(spec, consumed, state) -> bool:
-    """False iff the even-prefix rule forbids ``state`` after ``consumed`` symbols."""
-    return consumed % 2 == 1 or spec.even_prefix_sums is None or state in spec.even_prefix_sums
-
-
 def _rests(table, path) -> list[int]:
     """The positions along a walk where it rests; the steps lie between them."""
     return [j for j, state in enumerate(path) if table[state].get(0) == state]
@@ -108,10 +96,7 @@ def _walk(spec, word):
         if state is None:
             return None
         path.append(state)
-    even = spec.even_prefix_sums
-    if state not in spec.accept or not (even is None or even.issuperset(path[2::2])):
-        return None
-    return path
+    return path if state in spec.accept else None
 
 
 def accepts(machine, word) -> bool:
@@ -134,17 +119,15 @@ def parse_steps(machine, word) -> StepTrace:
 
 
 def reach_table(machine, length: int):
-    """``table[r][state]`` is True iff an accept state is reachable in exactly
-    ``r`` more symbols, given ``length - r`` symbols already consumed; a state
-    the even-prefix rule forbids there reaches nothing."""
+    """``table[r][state]`` is True iff an accept state is reachable from
+    ``state`` in exactly ``r`` more symbols, for ``r`` up to ``length``."""
     spec = _spec(machine)
     _check_size(length, "length")
     trans = spec.table
-    table = [{s: s in spec.accept and _allowed(spec, length, s) for s in trans}]
-    for r in range(1, length + 1):
+    table = [{s: s in spec.accept for s in trans}]
+    for _ in range(length):
         after = table[-1]
-        table.append({s: _allowed(spec, length - r, s) and any(map(after.__getitem__, out.values()))
-                      for s, out in trans.items()})
+        table.append({s: any(map(after.__getitem__, out.values())) for s, out in trans.items()})
     return table
 
 

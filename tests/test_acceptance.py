@@ -59,6 +59,8 @@ from golden import (
     dmt_bottom,
     mt_bottom,
 )
+from test_evaluate import literal_sum_operator
+from test_machines import _asm_word_prose
 
 
 @contextmanager
@@ -266,7 +268,7 @@ def test_criterion_13_property_suites():
 
             v5 = sum_operator(f, k, 5)
             if n >= 3:
-                assert sum_operator(f, k, 8) == v5
+                assert literal_sum_operator(f, k, 8) == v5
             if n >= 2:
                 assert sum_operator(f, k, 9) == v5
 
@@ -284,18 +286,9 @@ def test_criterion_13_property_suites():
                     n - 1
                 ) * alpha(rotated, AlphaMethod.OPERATOR_RECURSION)
 
-        def asm_prose(w):
-            nz = [x for x in w if x]
-            return (
-                bool(nz)
-                and nz[0] == nz[-1] == 1
-                and sum(w) == 1
-                and all(a != b for a, b in zip(nz, nz[1:]))
-            )
-
         for length in range(0, 9):
             for w in product((-1, 0, 1), repeat=length):
-                assert accepts(ASM_WORD, w) == asm_prose(w)
+                assert accepts(ASM_WORD, w) == _asm_word_prose(w)
                 if accepts(TWO_ASM_COLUMN, w):
                     sums = [sum(w[: i + 1]) for i in range(length)]
                     assert sums and sums[-1] == 2

@@ -13,7 +13,6 @@ from monotri import (
     binomial,
     build_matrix,
     classify_row_sequence,
-    condition3_equivalent,
     enum_matrices,
     enum_wni_objects,
     forward_difference_power,
@@ -24,6 +23,7 @@ from monotri import (
     validate_dmt,
     validate_monotone,
 )
+from monotri.core import _dmt_counts
 from monotri.machines import ASM_WORD, reach_table
 
 from golden import DMT_8, DMTS_63321, DMTS_63321_DD, MT5_ROWS
@@ -41,6 +41,8 @@ def test_sign_matrix_entries_enforced():
         SignMatrix(((0, 2),))
     with pytest.raises(InvalidInputError):
         SignMatrix(((0, 1), (1,)))
+    with pytest.raises(InvalidInputError):
+        SignMatrix(())
 
 
 @pytest.mark.parametrize("build", [
@@ -112,6 +114,31 @@ def test_validate_dmt():
     assert validate_dmt(TriangularArray(DMT_8))
     # rows 2 and 3 both contain the value 2 exactly once
     assert not validate_dmt(TriangularArray(((3,), (3, 2), (3, 3, 2))))
+    # valid diagonals, but row 3 holds the value 2 three times
+    assert not validate_dmt(TriangularArray(((2,), (2, 2), (2, 2, 2))))
+
+
+def condition3_equivalent(t: TriangularArray) -> bool:
+    """Literal evaluation of the local reformulation of the NSD condition.
+
+    An entry equal to its SE-neighbour and smaller than its SW-neighbour must
+    equal its right neighbour; symmetrically, an entry equal to its
+    SW-neighbour and greater than its SE-neighbour must equal its left
+    neighbour.  Only valid on triangles already satisfying the diagonal and
+    multiplicity conditions.
+    """
+    rows = t.rows
+    _dmt_counts(rows)
+    for upper, lower in zip(rows, rows[1:]):
+        for j, x in enumerate(upper):
+            sw, se = lower[j], lower[j + 1]
+            if x == se and x < sw:
+                if j + 1 >= len(upper) or upper[j + 1] != x:
+                    return False
+            if x == sw and x > se:
+                if j == 0 or upper[j - 1] != x:
+                    return False
+    return True
 
 
 def test_condition3_matches_figures():
@@ -186,6 +213,8 @@ def test_triangle_stats_figures():
 def test_triangle_stats_rejects_non_dmt():
     with pytest.raises(InvalidInputError):
         triangle_stats(TriangularArray(MT5_ROWS))
+    with pytest.raises(InvalidInputError):
+        triangle_stats(TriangularArray(((2,), (2, 2), (2, 2, 2))))
 
 
 def test_triangle_stats_degenerate():

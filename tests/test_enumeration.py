@@ -29,7 +29,14 @@ from monotri import (
 )
 from monotri import enumeration
 from monotri.enumeration import WniObject, is_valid_wni
-from monotri.machines import ASM_WORD, MODIFIED_ROW, TWO_ASM_COLUMN, accepts, parse_steps
+from monotri.machines import (
+    ASM_WORD,
+    MACHINES,
+    MODIFIED_ROW,
+    TWO_ASM_COLUMN,
+    accepts,
+    parse_steps,
+)
 from monotri.transform import BijectionKind, matrix_to_triangle
 
 from golden import ASM_COUNTS, DMTS_63321, W43_MATRIX, dmt_bottom, mt_bottom
@@ -404,6 +411,16 @@ def test_enum_matrices_against_brute_force():
                 matrix_to_triangle(m, bkind)
 
 
+def test_every_machine_reads_some_matrix_class():
+    # a machine that no class reads would be kept for the tests alone
+    read = set()
+    for n in (1, 2, 3):
+        for kind, i in [("asm", None), ("2asm", None)] + [("wni", i) for i in range(1, 2 * n)]:
+            row_machines, column_machine, _ = enumeration._matrix_class(kind, n, i)
+            read.update(row_machines, [column_machine])
+    assert read == set(MACHINES)
+
+
 def test_enum_matrices_order_and_validity():
     last = None
     for m in enum_matrices("asm", 3):
@@ -500,10 +517,18 @@ def test_enum_matrices_errors():
     lambda: predecessors((1.5, 3), TriangleClass.MT),
     lambda: signed_count((1.5, 3), TriangleClass.MT, "plain"),
     lambda: signed_count((3.0, 3.0, 1.0, 1.0), TriangleClass.DMT, "sc"),
+    # a class that is not a TriangleClass, not even its value
+    lambda: enum_triangles((1, 2, 4), "mt"),
+    lambda: enum_triangles((1, 2, 4), None),
+    lambda: predecessors((1, 2, 4), "mt"),
+    lambda: predecessors((1, 2, 4), None),
+    lambda: signed_count((1, 2, 3), "mt", "plain"),
+    lambda: signed_count((1, 2, 3), None, "plain"),
 ], ids=["mt-row", "empty-row", "asm-size", "kind", "wni-index",
         "predecessors-mt-row", "predecessors-triple", "predecessors-short",
         "float-row", "str-row", "predecessors-float-row", "count-float-row",
-        "count-integral-float-row"])
+        "count-integral-float-row", "class-str", "class-none", "predecessors-class-str",
+        "predecessors-class-none", "count-class-str", "count-class-none"])
 def test_enum_rejects_bad_arguments_at_the_call(call):
     # the stream is never pulled
     with pytest.raises(InvalidInputError):

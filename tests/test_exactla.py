@@ -137,6 +137,13 @@ def test_det_basics():
         det_exact(ExactMatrix(((1, 2, 3),)))
 
 
+def test_shape_errors():
+    with pytest.raises(InvalidInputError, match="not rectangular"):
+        ExactMatrix(((1, 2), (3,)))
+    with pytest.raises(InvalidInputError, match="incompatible shapes"):
+        mat_vec(identity_matrix(2), (1, 2, 3))
+
+
 def test_det_against_cofactor_oracle():
     rng = random.Random(7)
     for _ in range(20):

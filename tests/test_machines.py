@@ -14,7 +14,6 @@ from monotri.machines import (
     ASM_WORD,
     MACHINES,
     MODIFIED_ROW,
-    S1_COLUMN,
     TWO_ASM_COLUMN,
     backtrack,
     reach_table,
@@ -89,7 +88,8 @@ def _modified_row_prose(w):
 
 
 def _s1_column_prose(w):
-    # a 2-ASM column whose every even-length prefix sums to 0 or 2
+    # a 2-ASM column whose every even-length prefix sums to 0 or 2: the
+    # columns of the 2-ASMs that encode structured triangles (``is_s1``)
     return _two_asm_prose(w) and all(sum(w[:i]) in (0, 2) for i in range(2, len(w) + 1, 2))
 
 
@@ -99,7 +99,6 @@ def test_prose_equivalence_exhaustive(length):
         assert accepts(ASM_WORD, w) == _asm_word_prose(w), w
         assert accepts(TWO_ASM_COLUMN, w) == _two_asm_prose(w), w
         assert accepts(MODIFIED_ROW, w) == _modified_row_prose(w), w
-        assert accepts(S1_COLUMN, w) == _s1_column_prose(w), w
 
 
 def test_parse_steps_goldens():
@@ -125,7 +124,7 @@ _TWO_ASM_STEPS = {
     "0@2": (2, (0,), 2), "-1,-1@2": (2, (-1, -1), 0), "-1,1@2": (2, (-1, 1), 2),
 }
 PAPER_STEPS = {ASM_WORD: _ASM_STEPS, MODIFIED_ROW: _ASM_STEPS,
-               TWO_ASM_COLUMN: _TWO_ASM_STEPS, S1_COLUMN: _TWO_ASM_STEPS}
+               TWO_ASM_COLUMN: _TWO_ASM_STEPS}
 
 
 def replay(machine, tags):
@@ -141,7 +140,7 @@ def replay(machine, tags):
     return tuple(word), state, zero_loops
 
 
-@pytest.mark.parametrize("machine", [ASM_WORD, TWO_ASM_COLUMN, MODIFIED_ROW, S1_COLUMN])
+@pytest.mark.parametrize("machine", [ASM_WORD, TWO_ASM_COLUMN, MODIFIED_ROW])
 @pytest.mark.parametrize("length", range(0, 9))
 def test_parse_roundtrip(machine, length):
     for w in product((-1, 0, 1), repeat=length):
@@ -161,7 +160,7 @@ def test_generate_goldens():
     assert list(generate(MODIFIED_ROW, 0)) == [()]
 
 
-@pytest.mark.parametrize("machine", [ASM_WORD, TWO_ASM_COLUMN, MODIFIED_ROW, S1_COLUMN])
+@pytest.mark.parametrize("machine", [ASM_WORD, TWO_ASM_COLUMN, MODIFIED_ROW])
 @pytest.mark.parametrize("length", range(0, 7))
 def test_generate_against_filter_oracle(machine, length):
     expected = sorted(w for w in product((-1, 0, 1), repeat=length) if accepts(machine, w))
@@ -184,11 +183,3 @@ def test_unregistered_spec_rejected(change):
         with pytest.raises(InvalidInputError, match=repr(spec.machine_id)):
             call()
 
-
-def test_s1_column_restricts_two_asm():
-    for length in range(0, 7):
-        for w in product((-1, 0, 1), repeat=length):
-            if accepts(S1_COLUMN, w):
-                assert accepts(TWO_ASM_COLUMN, w)
-                sums = [sum(w[: i + 1]) for i in range(len(w))]
-                assert all(s in (0, 2) for s in sums[1::2])

@@ -32,11 +32,15 @@ def test_matrix_csv():
     m = SignMatrix(((0, 1), (1, -1)))
     assert serialize(m, "csv") == b"0,1\n1,-1\n"
     assert deserialize(b"0,1\n1,-1\n", "matrix") == m
+    # a blank line is skipped
+    assert deserialize(b"0,1\n\n1,-1\n", "matrix") == m
 
 
 def test_matrix_text():
     m = SignMatrix(((0, 1), (1, -1)))
     assert serialize(m, "text") == b" 0  1\n 1 -1\n"
+    # a zero-column matrix is one empty line per row
+    assert serialize(SignMatrix(((),)), "text") == b"\n"
 
 
 def test_triangle_text_shape():
@@ -56,6 +60,8 @@ def test_report_roundtrip():
     )
     back = deserialize(serialize(r), "report")
     assert back == r
+    skipped = VerificationReport("lemma2", {"max_len": 1}, "Skipped", (), 0.5, "nothing to check")
+    assert deserialize(serialize(skipped), "report") == skipped
     csv_bytes = serialize(r, "csv")
     assert b"alpha at n=3,-1,-1" in csv_bytes
     text = serialize(r, "text").decode()
@@ -116,6 +122,10 @@ _REPORT = (b'{"type": "report", "identity_id": "x", "parameters": %s, "status": 
     pytest.param(b"\xff\xfe0,1\n", "matrix", id="undecodable-csv"),
     pytest.param(_REPORT % (b"{}", b'"abc"'), "report", id="elapsed-not-a-number"),
     pytest.param(_REPORT % (b'"ab"', b"1.0"), "report", id="parameters-not-a-mapping"),
+    pytest.param(b'{"type": "triangle", "rows": [1]}', "triangle", id="row-not-a-list"),
+    pytest.param(b"", "matrix", id="empty-csv"),
+    pytest.param(b"0,1\n1,2\n", "matrix", id="csv-cell-out-of-range"),
+    pytest.param(b"1\n", "triangle", id="csv-as-triangle"),
     pytest.param(b'{"type": "triangle", "rows": ' + b"[" * 100000 + b"]" * 100000 + b"}",
                  "triangle", id="nested-too-deeply"),
 ])
@@ -153,6 +163,8 @@ def test_unknown_kind_and_format():
         deserialize(b"{}", "widget")
     with pytest.raises(InvalidInputError):
         serialize(TriangularArray(((1,),)), "yaml")
+    with pytest.raises(InvalidInputError, match="cannot serialize int"):
+        serialize(42)
 
 
 @st.composite

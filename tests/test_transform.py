@@ -28,6 +28,7 @@ from monotri.enumeration import WniObject, is_valid_wni
 from monotri.machines import ASM_WORD, accepts
 
 from golden import DMT_10, TWOASM_5, W43_MATRIX, dmt_bottom, mt_bottom
+from test_machines import _s1_column_prose
 
 
 GOLDEN_T = TriangularArray(DMT_10)
@@ -110,6 +111,9 @@ def test_bijection_input_validation():
         triangle_to_matrix(GOLDEN_T, BijectionKind.MT_ASM)
     with pytest.raises(InvalidInputError):
         matrix_to_triangle(SignMatrix(((0, 1), (1, 0), (0, 0), (1, 1))), BijectionKind.DMT_2ASM)
+    # the 2-ASMs for n = 1 are 2 x 1
+    with pytest.raises(InvalidInputError, match="2 x 1, got 1 x 1"):
+        matrix_to_triangle(SignMatrix(((1,),)), BijectionKind.DMT_2ASM)
 
 
 # (name, function, kind of triangle it takes)
@@ -211,14 +215,13 @@ def test_s1_errors():
         mt_to_s1(TriangularArray(((2,), (2, 3))))
 
 
-def test_s1_column_machine_matches_is_s1():
-    from monotri.machines import S1_COLUMN
-
+def test_s1_columns_match_is_s1():
+    # a 2-ASM encodes a structured triangle iff every column is an s1 column
     for n in (1, 2, 3):
         for m in enum_matrices("2asm", n):
             t = matrix_to_triangle(m, BijectionKind.DMT_2ASM)
-            machine_says = all(accepts(S1_COLUMN, col) for col in m.columns())
-            assert machine_says == is_s1(t), m.entries
+            columns_say = all(_s1_column_prose(col) for col in m.columns())
+            assert columns_say == is_s1(t), m.entries
 
 
 def test_reflect_rows_involution():
