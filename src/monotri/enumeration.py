@@ -14,11 +14,10 @@ stream; ``enum_triangles`` stacks rows from it.
 class, each keyed by ``_key``: the row shifted to end in 0 or its mirror
 image shifted likewise, whichever is smaller; the first pair of gaps that
 differ, read inward from both ends, decides which, and one tuple is built.
-``_count_dmt(kernel, row)`` sums over the key's rows above, from
-``_rows_above`` unchecked, whose transition weights carry the signs, or
-steps a first gap of 2 or more down by one over the rows above the rest of
-the key.  Those come from ``_rest_rows``, a small LRU cache that streams
-and checks each rest once for its whole first-gap chain.
+``_count_dmt(kernel, row)`` counts a key by the rules in its docstring:
+from its rows above, from the rows above its rest, read from
+``_rest_rows``, a small LRU cache, or from narrower first gaps, so no
+count walks a gap wider than the row.
 ``_mt_partial`` fixes the row above one entry at a time, so the rows above
 the bottom rows of one level share their partial sums; the MT count of a
 key is its step-0 partial sum.  The ``enum_*`` functions check their
@@ -37,6 +36,7 @@ column walks that check returns.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,7 +57,6 @@ from .errors import InternalError, InvalidInputError
 STATISTICS = ("plain", "sc", "dd_with_prefactor", "dd_bar")
 
 _MEMO_ENTRIES = 1 << 20
-_WARM_STRIDE = 64
 # rests held by _rest_rows: on the cold alpha-cold rows of perfbench a
 # larger bound gains no hit, and an unbounded table more than doubles the
 # peak memory of staircase n = 15 for no gain in time
@@ -200,9 +199,8 @@ def _key(row):
 @functools.lru_cache(maxsize=_REST_ENTRIES)
 def _rest_rows(rest):
     """The DMT rows above ``rest`` with their sign changes, as one tuple, from
-    ``predecessors`` called through the module name.  Every state of a
-    first-gap chain ``(k1,) + rest``, ``(k1 - 1,) + rest``, ... reads it, so
-    a rest is streamed and checked once per chain, not once per state."""
+    ``predecessors`` called through the module name, so the steps of
+    ``_count_dmt`` over one rest stream and check it once."""
     return tuple(predecessors(rest, TriangleClass.DMT))
 
 
@@ -212,39 +210,43 @@ def _count_dmt(kernel, row):
     row it looks up.  It sums the rows above, keys each by ``_key``, and
     weighs it by ``kernel``: ``plain`` 1, ``sc`` (-1)^sc, ``pair`` (-1) to
     the number of pair values the row shares with ``row``, which dd and
-    dd_bar share.  A key of two entries or with first gap at most 1 streams
-    its rows above from ``_rows_above``, unchecked, as the DP built it from
-    a checked row.
+    dd_bar share.  A key of three or more entries with first gap at most 1
+    streams its rows above from ``_rows_above``, unchecked, as the DP built
+    it from a checked row.
 
-    A key ``(k1,) + R`` of three or more entries with ``k1 - R[0] >= 2``
+    A key ``(g, 0)`` has g - 1 rows above, each a newcomer, or one row (0)
+    when g = 0: its count is ``1 - g`` under ``sc`` and ``|g - 1|`` else.
+    A key ``(k1,) + R`` of n >= 3 entries with gap ``k1 - R[0]`` from 2 to n
     steps along that gap: its count is that of ``(k1 - 1,) + R`` plus, for
     each ``(A, sc)`` above R, that of ``(k1 - 1,) + A`` weighed as above
     with one more sign change under ``sc``.  The rows above with first
     entry at most k1 - 2 are those above ``(k1 - 1,) + R`` with the same
     weights, as k1 and k1 - 1 are singletons outside them; the rest are the
     ``(k1 - 1,) + A``, that entry a newcomer.  The rows above R come from
-    ``_rest_rows``, shared by the whole chain.  With nothing above R the
-    count is that at gap 1.  The step below comes first, and a gap that is
-    a multiple of ``_WARM_STRIDE`` first counts the smaller multiples from
-    the bottom up, so the recursion is a few strides deep at most."""
+    ``_rest_rows``.  By that step, as A[0] <= R[0], and by induction from
+    the two-entry count, every kernel's count has degree at most n - 1 in
+    k1 from gap 1 on (for ``sc`` Fischer 2006), so a gap wider than n
+    is the Lagrange extrapolation from gaps 1..n over the same R, taken in
+    increasing gap so each step finds the one below it cached.  ``_key``
+    puts the wider end gap in front, so the recursion is a few rows deep
+    whatever the gaps at the ends."""
+    n, gap, rest = len(row), row[0] - row[1], row[1:]
+    if n == 2:
+        return 1 - gap if kernel == "sc" else abs(gap - 1)
+    if gap > n:
+        # L_i(gap) over the nodes 1..n, with its denominator folded into the combs
+        return sum([(-1) ** (n - i) * math.comb(gap - 1, i - 1) * math.comb(gap - i - 1, n - i)
+                    * _count_dmt(kernel, _key((rest[0] + i,) + rest)) for i in range(1, n + 1)])
     by_sc, by_pairs = kernel == "sc", kernel == "pair"
     below_pairs = _pair_values(row) if by_pairs else None
-    first, rest = row[0], row[1:]
-    gap = first - rest[0]
-    if len(rest) < 2 or gap < 2:
+    if gap < 2:
         head, value, stream = (), 0, _rows_above(row, TriangleClass.DMT)
     else:
-        head, stream = (first - 1,), _rest_rows(rest)
-        if not stream:
-            return _count_dmt(kernel, _key((rest[0] + 1,) + rest))
-        if gap % _WARM_STRIDE == 0:
-            for a in range(rest[0] + _WARM_STRIDE, first, _WARM_STRIDE):
-                _count_dmt(kernel, _key((a,) + rest))
+        head, stream = (row[0] - 1,), _rest_rows(rest)
         value = _count_dmt(kernel, _key(head + rest))
-    leaf = len(row) == 2
     flip = len(head)  # an entry k1 - 1 in front is one more sign change
     for above, sc in stream:
-        sub = 1 if leaf else _count_dmt(kernel, _key(head + above))
+        sub = _count_dmt(kernel, _key(head + above))
         if by_sc and (sc + flip) & 1 or by_pairs and len(_pair_values(above) & below_pairs) & 1:
             value -= sub
         else:

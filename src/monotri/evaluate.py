@@ -17,8 +17,9 @@ Both DPs are ``enumeration.signed_count``, entered through its private form
 that takes the row shape ``alpha`` has already classified, so a call
 classifies its row once.  The DP keys a row and its mirror image
 (-k_n, ..., -k_1), each shifted to end in 0, as one; the monotone DP fixes
-the row above one entry at a time, and the DMT DP takes whole rows or
-steps down a first gap of 2 or more.  The summation operator at a bound
+the row above one entry at a time, and the DMT DP takes whole rows, steps
+down a narrow first gap or extrapolates a wide one (``enumeration``'s
+``_count_dmt``).  The summation operator at a bound
 vector is a cached table of signed points, built by the chosen recursion
 from the tables of shorter vectors; applying it calls the function once
 per point.

@@ -8,6 +8,7 @@ import pytest
 
 from monotri.cli import run_cli
 from monotri.serialize import serialize
+from monotri.verify import IDENTITIES
 from monotri import SignMatrix, TriangularArray
 
 from golden import DMT_10, TWOASM_5
@@ -82,6 +83,9 @@ def test_enum_missing_args(capsys):
     assert code == 2 and err
     code, _, err = run(capsys, "enum", "--class", "wni", "--n", "2")
     assert code == 2 and err
+    for cls in ("asm", "2asm"):
+        code, out, err = run(capsys, "enum", "--class", cls)
+        assert code == 2 and out == "" and "needs --n" in err, cls
 
 
 def test_enum_wni(capsys):
@@ -100,6 +104,21 @@ def test_verify_exit_codes(capsys):
     assert code == 2 and "Skipped" in out and "no checks" in err
     code, _, err = run(capsys, "verify", "--id", "nonsense")
     assert code == 2 and err
+
+
+def test_verify_failed_exits_1(capsys, monkeypatch):
+    # a check whose actual value differs from the expected one fails the report
+    table = IDENTITIES["table"]
+    monkeypatch.setitem(IDENTITIES, "table",
+                        table._replace(runner=lambda params: iter([("a wrong row", 1, 0)])))
+    code, out, _ = run(capsys, "verify", "--id", "table")
+    assert code == 1 and "Failed" in out
+
+
+def test_verify_seed_ignored_with_note(capsys):
+    code, out, err = run(capsys, "verify", "--id", "table", "--seed", "3")
+    assert code == 0 and "Verified" in out
+    assert "note: identity 'table' ignores --seed" in err
 
 
 def test_verify_json_format(capsys):
@@ -231,6 +250,12 @@ def python_m_monotri(*argv):
 def test_python_m_runs_cli():
     out = python_m_monotri("alpha", "--row", "2,4,5,8,9")
     assert out.returncode == 0 and out.stdout.strip() == "16939"
+
+
+def test_alpha_wide_gap_finishes():
+    # a gap of 10^14 is extrapolated, not walked; the timeout catches a hang
+    out = python_m_monotri("alpha", "--row", "99999999999999,1")
+    assert out.returncode == 0 and out.stdout.strip() == "-99999999999997"
 
 
 def test_closed_pipe_is_not_an_error():

@@ -1,10 +1,14 @@
 import functools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, product
 from operator import sub
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +43,7 @@ from monotri.machines import (
 )
 from monotri.transform import BijectionKind, matrix_to_triangle
 
-from golden import ASM_COUNTS, DMTS_63321, W43_MATRIX, dmt_bottom, mt_bottom
+from golden import ASM_COUNTS, DMTS_63321, STAIRCASE_TABLE, W43_MATRIX, dmt_bottom, mt_bottom
 from test_machines import _asm_word_prose, _modified_row_prose, _two_asm_prose
 
 
@@ -373,13 +377,43 @@ def lagrange_at(points, x):
     (997, (3, 3, 2, 2, 1, 1)),  # the W-row for n = 4, i = 994
 ])
 def test_wide_first_gap_matches_polynomial(k1, rest):
-    # alpha(n; k) has degree <= n - 1 in k1 (Fischer 2006), so its values at
-    # the n narrowest first gaps, by the oracle, fix it at any k1; a gap in
-    # the thousands must not deepen the recursion
+    # every kernel's count has degree <= n - 1 in k1 (Fischer 2006 for sc),
+    # so its values at the n narrowest first gaps, by the oracle, fix it at
+    # any k1; a gap in the thousands must not deepen the recursion
     n = len(rest) + 1
+    for kernel, statistic in (("sc", "sc"), ("plain", "plain"), ("pair", "dd_bar")):
+        count = stream_dp(TriangleClass.DMT, kernel)
+        points = [(a, count((a,) + rest)) for a in range(rest[0] + 1, rest[0] + n + 1)]
+        want = lagrange_at(points, k1)
+        assert signed_count((k1,) + rest, TriangleClass.DMT, statistic) == want, kernel
+        if kernel == "sc":
+            assert alpha((k1,) + rest) == want
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_recursion_depth_is_bounded_by_row_length():
+    # the DMT DP recurses a few frames per entry of the row, whatever its
+    # gaps: each row is counted in a fresh interpreter under a recursion
+    # limit of 100, against the polynomial through the narrowest first gaps
+    # or a table value (the doubled staircase n = 6 counts the 6 x 6 ASMs)
+    rest = (3, 3, 2, 2, 1, 1)
     count = stream_dp(TriangleClass.DMT, "sc")
-    points = [(a, count((a,) + rest)) for a in range(rest[0] + 1, rest[0] + n + 1)]
-    assert alpha((k1,) + rest) == lagrange_at(points, k1)
+    points = [(a, count((a,) + rest)) for a in range(4, 11)]
+    wide = [(k1,) + rest for k1 in (1023, 10**15)]
+    cases = [(k, lagrange_at(points, k[0])) for k in wide] + [
+        (mirror(wide[1]), lagrange_at(points, 10**15)),
+        ((10**15, 1), 2 - 10**15),
+        (tuple(range(11, 0, -1)), STAIRCASE_TABLE[11]),
+        ((6, 6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1), ASM_COUNTS[5]),
+    ]
+    script = ("import sys\nimport monotri\nsys.setrecursionlimit(100)\n"
+              f"for row in {[k for k, _ in cases]!r}:\n    print(monotri.alpha(row))\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert [int(line) for line in out.stdout.split()] == [want for _, want in cases]
 
 
 def test_enum_matrices_counts():

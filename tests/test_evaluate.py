@@ -517,7 +517,7 @@ def test_dp_state_counts(monkeypatch):
     monkeypatch.setattr(enumeration, "_mt_partial", functools.lru_cache(maxsize=None)(recording))
     try:
         for row, states, partials, transitions, rows_streamed in (
-                (tuple(range(11, 0, -1)), (0, 1332), 0, 5675, 5094),
+                (tuple(range(11, 0, -1)), (0, 1329), 0, 5615, 5067),
                 ((0, 3, 5, 8, 10, 13), (324, 0), 1646, 0, 0)):
             evaluate.clear_caches()
             for seen in (streamed, summed, steps):
@@ -526,6 +526,17 @@ def test_dp_state_counts(monkeypatch):
             assert (steps.count(0), enumeration._count_dmt.cache_info().currsize) == states, row
             assert len(steps) - steps.count(0) == partials, row
             assert (len(summed), len(streamed)) == (transitions, rows_streamed), row
+    finally:
+        evaluate.clear_caches()
+
+
+def test_wide_first_gap_states_do_not_grow_with_the_gap():
+    # a first gap wider than the row is extrapolated from the n narrowest
+    # gaps over the same rest, so the states are those of the narrow rows
+    evaluate.clear_caches()
+    try:
+        alpha((5000, 3, 3, 2, 2, 1, 1))
+        assert enumeration._count_dmt.cache_info().currsize <= 100
     finally:
         evaluate.clear_caches()
 
