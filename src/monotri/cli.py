@@ -1,8 +1,9 @@
 """Command line interface.
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success or
-Verified, 1 failed verification, 2 invalid input, 3 resource limit.  A
-reader closing stdout early ends the run quietly with exit 0.
+Verified, 1 failed verification, 2 invalid input, 3 resource limit (a
+guard, or memory run out).  A reader closing stdout early ends the run
+quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -210,6 +211,9 @@ def run_cli(argv) -> int:
         return EXIT_INVALID
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
 
 

@@ -10,18 +10,15 @@ extends in place while its next entry has one value, and is pushed only
 where the row branches.  ``predecessors`` checks its row and returns that
 stream; ``enum_triangles`` stacks rows from it.
 
-``signed_count`` runs a DP over distinct rows, one bounded LRU cache per
-class, each keyed by ``_key``: the row shifted to end in 0 or its mirror
-image shifted likewise, whichever is smaller; the first pair of gaps that
-differ, read inward from both ends, decides which, and one tuple is built.
-``_count_dmt(kernel, row)`` counts a key by the rules in its docstring:
-from its rows above, from the rows above its rest, read from
-``_rest_rows``, a small LRU cache, or from narrower first gaps, so no
-count walks a gap wider than the row.
-``_mt_partial`` fixes the row above one entry at a time, so the rows above
-the bottom rows of one level share their partial sums; the MT count of a
-key is its step-0 partial sum.  The ``enum_*`` functions check their
-arguments when called and return the stream.
+``signed_count`` runs one DP over distinct rows of either class, a bounded
+LRU cache keyed by the kernel and ``_key``: the row shifted to end in 0 or
+its mirror image shifted likewise, whichever puts the wider end gap in
+front; the first pair of gaps that differ, read inward from both ends,
+decides which, and one tuple is built.  ``_count(kernel, row)`` counts a key
+by the rules in its docstring: from its rows above, from the rows above its
+rest, read from ``_rest_rows``, a small LRU cache, or from narrower first
+gaps, so no count walks an end gap wider than the row.  The ``enum_*``
+functions check their arguments when called and return the stream.
 
 Each sign-matrix class (ASMs, 2-ASMs and the W-objects for (n, i)) has one
 description, ``_matrix_class``: the machine that reads each row, the one
@@ -57,9 +54,10 @@ from .errors import InternalError, InvalidInputError
 STATISTICS = ("plain", "sc", "dd_with_prefactor", "dd_bar")
 
 _MEMO_ENTRIES = 1 << 20
-# rests held by _rest_rows: on the cold alpha-cold rows of perfbench a
-# larger bound gains no hit, and an unbounded table more than doubles the
-# peak memory of staircase n = 15 for no gain in time
+# rests held by _rest_rows: on a cold pass over the alpha-cold rows of
+# perfbench a larger bound gains no hit and 64 lose over half of them, and an
+# unbounded table more than doubles the peak memory of staircase n = 15 for
+# no gain in time
 _REST_ENTRIES = 256
 
 
@@ -173,18 +171,17 @@ def _checked_triangles(bottom, cls):
 
 def _key(row):
     """The DP key of ``row``: the row shifted to end in 0 or its mirror image
-    (-k_n, ..., -k_1) shifted likewise, whichever tuple is smaller.  Mirroring
-    maps MT rows to MT rows and DMT rows to DMT rows, and keeps every
-    kernel's count.  Entry i of the shifted tuple is the spread k_1 - k_n
-    less the first i - 1 gaps, of the mirrored one the spread less the last
-    i - 1, so the first pair of gaps ``k_i - k_{i+1}``, ``k_{n-i} - k_{n-i+1}``
-    that differ, read inward, decides: the shifted tuple where the front gap
-    is wider, the mirrored one where it is narrower.  A row whose gaps read
-    the same both ways is its own mirror image up to shift.  One tuple is
-    built."""
+    (-k_n, ..., -k_1) shifted likewise, whichever puts the wider end gap in
+    front.  Mirroring maps MT rows to MT rows and DMT rows to DMT rows, and
+    keeps every kernel's count.  The first pair of gaps ``k_i - k_{i+1}``,
+    ``k_{n-i} - k_{n-i+1}`` that differ in size, read inward, decides: the
+    shifted tuple where the front gap is wider, the mirrored one where it is
+    narrower.  So a DMT key, its gaps >= 0, is the smaller tuple and an MT key
+    the larger.  A row whose gaps read the same both ways is its own mirror
+    image up to shift.  One tuple is built."""
     i, j = 0, len(row) - 1
     while i + 1 < j:
-        ends = row[i] - row[i + 1] - row[j - 1] + row[j]
+        ends = abs(row[i] - row[i + 1]) - abs(row[j - 1] - row[j])
         if ends < 0:
             first = row[0]
             return tuple([first - x for x in reversed(row)])
@@ -196,57 +193,70 @@ def _key(row):
     return tuple([x - last for x in row])
 
 
+def _class_of(row):
+    """The class of a key of two or more entries, read off its first gap."""
+    return TriangleClass.MT if row[0] < row[1] else TriangleClass.DMT
+
+
 @functools.lru_cache(maxsize=_REST_ENTRIES)
 def _rest_rows(rest):
-    """The DMT rows above ``rest`` with their sign changes, as one tuple, from
+    """The rows above ``rest`` with their sign changes, as one tuple, from
     ``predecessors`` called through the module name, so the steps of
-    ``_count_dmt`` over one rest stream and check it once."""
-    return tuple(predecessors(rest, TriangleClass.DMT))
+    ``_count`` over one rest stream and check it once.  The tuple is copied
+    from a list: one built from the stream grows by reallocation, which
+    fragments the heap, and the peak memory of repeated cold runs rose with
+    it (by 2.3 MB over 40 passes of perfbench's alpha-cold rows)."""
+    return tuple(list(predecessors(rest, _class_of(rest))))
 
 
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
-def _count_dmt(kernel, row):
-    """DP over distinct DMT rows; ``row`` is a key of ``_key``, and so is every
-    row it looks up.  It sums the rows above, keys each by ``_key``, and
-    weighs it by ``kernel``: ``plain`` 1, ``sc`` (-1)^sc, ``pair`` (-1) to
-    the number of pair values the row shares with ``row``, which dd and
-    dd_bar share.  A key of three or more entries with first gap at most 1
-    streams its rows above from ``_rows_above``, unchecked, as the DP built
-    it from a checked row.
+def _count(kernel, row):
+    """DP over distinct rows of either class; ``row`` is a key of ``_key``,
+    and so is every row it looks up.  It sums the rows above, keys each by
+    ``_key``, and weighs it by ``kernel``: ``plain`` 1, ``sc`` (-1)^sc,
+    ``pair`` (-1) to the number of pair values the row shares with ``row``,
+    which dd and dd_bar share.  Every weight is 1 on MT rows, which have
+    neither pairs nor sign changes.  A key of three or more entries with
+    first gap ``w = |k1 - k2|`` at most 1 streams its rows above from
+    ``_rows_above``, unchecked, as the DP built it from a checked row.
 
-    A key ``(g, 0)`` has g - 1 rows above, each a newcomer, or one row (0)
-    when g = 0: its count is ``1 - g`` under ``sc`` and ``|g - 1|`` else.
-    A key ``(k1,) + R`` of n >= 3 entries with gap ``k1 - R[0]`` from 2 to n
-    steps along that gap: its count is that of ``(k1 - 1,) + R`` plus, for
-    each ``(A, sc)`` above R, that of ``(k1 - 1,) + A`` weighed as above
-    with one more sign change under ``sc``.  The rows above with first
-    entry at most k1 - 2 are those above ``(k1 - 1,) + R`` with the same
-    weights, as k1 and k1 - 1 are singletons outside them; the rest are the
-    ``(k1 - 1,) + A``, that entry a newcomer.  The rows above R come from
-    ``_rest_rows``.  By that step, as A[0] <= R[0], and by induction from
-    the two-entry count, every kernel's count has degree at most n - 1 in
-    k1 from gap 1 on (for ``sc`` Fischer 2006), so a gap wider than n
-    is the Lagrange extrapolation from gaps 1..n over the same R, taken in
-    increasing gap so each step finds the one below it cached.  ``_key``
-    puts the wider end gap in front, so the recursion is a few rows deep
-    whatever the gaps at the ends."""
+    A key ``(g, 0)`` has g - 1 rows above, each a DMT newcomer, or one row (0)
+    when g = 0, or 1 - g MT rows when g < 0: its count is ``1 - g`` under
+    ``sc`` and ``|g - 1|`` else.  A key ``(k1,) + R`` of n >= 3 entries with
+    w from 2 to n steps along that gap.  A DMT count is that of
+    ``(k1 - 1,) + R`` plus, for each ``(A, sc)`` above R, that of
+    ``(k1 - 1,) + A`` weighed as above with one more sign change under
+    ``sc``: the rows above with first entry at most k1 - 2 are those above
+    ``(k1 - 1,) + R`` with the same weights, as k1 and k1 - 1 are singletons
+    outside them; the rest are the ``(k1 - 1,) + A``, that entry a newcomer.
+    An MT count is that of ``(k1 + 1,) + R`` plus that of ``(k1,) + A`` for
+    each A above R: the rows above that do not begin with k1 are those above
+    ``(k1 + 1,) + R``.  The rows above R come from ``_rest_rows``.  By that
+    step, and by induction from the two-entry count, every kernel's count has
+    degree at most n - 1 in k1 from w = 1 on (for ``sc`` Fischer 2006), so a
+    gap wider than n is the Lagrange extrapolation from gaps 1..n over the
+    same R, taken in increasing gap so each step finds the one below it
+    cached.  ``_key`` puts the wider end gap in front, so the recursion is a
+    few rows deep whatever the gaps at the ends."""
     n, gap, rest = len(row), row[0] - row[1], row[1:]
     if n == 2:
         return 1 - gap if kernel == "sc" else abs(gap - 1)
-    if gap > n:
-        # L_i(gap) over the nodes 1..n, with its denominator folded into the combs
-        return sum([(-1) ** (n - i) * math.comb(gap - 1, i - 1) * math.comb(gap - i - 1, n - i)
-                    * _count_dmt(kernel, _key((rest[0] + i,) + rest)) for i in range(1, n + 1)])
+    w, step = abs(gap), 1 if gap > 0 else -1  # k1 - step narrows the first gap
+    if w > n:
+        # L_i(w) over the nodes 1..n, with its denominator folded into the combs
+        return sum([(-1) ** (n - i) * math.comb(w - 1, i - 1) * math.comb(w - i - 1, n - i)
+                    * _count(kernel, _key((rest[0] + step * i,) + rest)) for i in range(1, n + 1)])
     by_sc, by_pairs = kernel == "sc", kernel == "pair"
     below_pairs = _pair_values(row) if by_pairs else None
-    if gap < 2:
-        head, value, stream = (), 0, _rows_above(row, TriangleClass.DMT)
+    if w < 2:
+        head, flip, value, stream = (), 0, 0, _rows_above(row, _class_of(row))
     else:
-        head, stream = (row[0] - 1,), _rest_rows(rest)
-        value = _count_dmt(kernel, _key(head + rest))
-    flip = len(head)  # an entry k1 - 1 in front is one more sign change
+        # a DMT row above puts a newcomer k1 - 1 in front, one more sign change
+        flip = int(gap > 0)
+        head, stream = (row[0] - flip,), _rest_rows(rest)
+        value = _count(kernel, _key((row[0] - step,) + rest))
     for above, sc in stream:
-        sub = _count_dmt(kernel, _key(head + above))
+        sub = _count(kernel, _key(head + above))
         if by_sc and (sc + flip) & 1 or by_pairs and len(_pair_values(above) & below_pairs) & 1:
             value -= sub
         else:
@@ -254,37 +264,10 @@ def _count_dmt(kernel, row):
     return value
 
 
-@functools.lru_cache(maxsize=_MEMO_ENTRIES)
-def _mt_partial(mixed, j):
-    """The MT count of a bottom row, summed over the rows above it that begin
-    with ``mixed[:j]``; ``mixed[j:]`` is the bottom row from entry ``j`` on.
-    One step writes entry ``j`` of the row above over slot ``j``: a value in
-    ``[k_j, k_{j+1}]`` above the entry before it.  Step 0 shifts the tuple so
-    that the row above starts at 0, so the rows above the bottom rows of one
-    level share these sums; the last step looks each finished row up by its
-    key at step 0.  With ``mixed`` a key of ``_key`` and ``j`` 0 this is the
-    DP's MT count of that row."""
-    m = len(mixed) - 1
-    lo = mixed[j] + (j > 0 and mixed[j - 1] == mixed[j])  # entry j - 1 may be k_j
-    hi = mixed[j + 1]
-    if j == m - 1:
-        if m == 1:
-            return hi - lo + 1
-        head = mixed[:j]
-        return sum([_mt_partial(_key(head + (v,)), 0) for v in range(lo, hi + 1)])
-    tail = mixed[j + 1:]
-    if j == 0:
-        return sum([_mt_partial((0,) + tuple([x - v for x in tail]), 1)
-                    for v in range(lo, hi + 1)])
-    head = mixed[:j]
-    return sum([_mt_partial(head + (v,) + tail, j + 1) for v in range(lo, hi + 1)])
-
-
 def clear_caches() -> None:
-    """Empty the DMT DP memo, its rest rows and the MT partial sums."""
-    _count_dmt.cache_clear()
+    """Empty the DP memo and its rest rows."""
+    _count.cache_clear()
     _rest_rows.cache_clear()
-    _mt_partial.cache_clear()
 
 
 def signed_count(bottom, cls: TriangleClass, statistic: str):
@@ -307,11 +290,7 @@ def _signed_count(bottom, cls, statistic, shape):
     if n == 1:
         value = 1
     else:
-        # every weight is 1 on MT rows, which have neither pairs nor sign changes
-        if cls is TriangleClass.MT:
-            value = _mt_partial(_key(bottom), 0)
-        else:
-            value = _count_dmt("pair" if statistic.startswith("dd") else statistic, _key(bottom))
+        value = _count("pair" if statistic.startswith("dd") else statistic, _key(bottom))
     if statistic != "dd_with_prefactor":
         return value
     bottom_pairs = sum(1 for a, b in zip(bottom, bottom[1:]) if a == b)

@@ -13,16 +13,14 @@ are provided and must agree wherever their domains overlap:
 * ``SIGNED_DMT_DP`` runs the sign-weighted predecessor DP over decreasing
   monotone triangle rows.
 
-Both DPs are ``enumeration.signed_count``, entered through its private form
-that takes the row shape ``alpha`` has already classified, so a call
-classifies its row once.  The DP keys a row and its mirror image
-(-k_n, ..., -k_1), each shifted to end in 0, as one; the monotone DP fixes
-the row above one entry at a time, and the DMT DP takes whole rows, steps
-down a narrow first gap or extrapolates a wide one (``enumeration``'s
-``_count_dmt``).  The summation operator at a bound
-vector is a cached table of signed points, built by the chosen recursion
-from the tables of shorter vectors; applying it calls the function once
-per point.
+Both DP methods are the one DP of ``enumeration.signed_count``, entered
+through its private form that takes the row shape ``alpha`` has already
+classified, so a call classifies its row once.  The DP keys a row and its
+mirror image (-k_n, ..., -k_1), each shifted to end in 0, as one; it takes
+whole rows, steps down a narrow first gap or extrapolates a wide one
+(``enumeration``'s ``_count``).  The summation operator at a bound vector
+is a cached table of signed points, built by the chosen recursion from the
+tables of shorter vectors; applying it calls the function once per point.
 The operator recursion caches its values apart, keyed by rows shifted to
 start at 0, so it never reads the DP's entries and stays an independent
 check.  Row and bound entries, sizes and indices must be integers by

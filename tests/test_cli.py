@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from monotri import cli
 from monotri.cli import run_cli
 from monotri.serialize import serialize
 from monotri.verify import IDENTITIES
@@ -41,6 +42,21 @@ def test_alpha_invalid_method_combo(capsys):
 def test_alpha_resource_limit(capsys):
     code, _, err = run(capsys, "alpha", "--row", "0,20", "--method", "op")
     assert code == 3 and "resource" in err.lower()
+
+
+def test_alpha_out_of_memory(capsys, monkeypatch):
+    def exhausting(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "alpha", exhausting)
+    code, out, err = run(capsys, "alpha", "--row", "0,1,2")
+    assert (code, out, err) == (3, "", "resource limit: out of memory\n")
+
+
+def test_alpha_wide_monotone_gap(capsys):
+    # N^2 + 2N - 1 monotone triangles over (0, 1, N), extrapolated from narrow gaps
+    code, out, _ = run(capsys, "alpha", "--row", "0,1,1000000000")
+    assert code == 0 and out.strip() == "1000000001999999999"
 
 
 def test_enum_count_only(capsys):

@@ -146,9 +146,11 @@ def test_predecessors_against_brute_force(cls):
 
 
 def _key_oracle(row):
+    # the smaller tuple puts the wider end gap in front of a DMT row, the
+    # larger in front of an MT row
     shifted = tuple(x - row[-1] for x in row)
     mirrored = tuple(row[0] - x for x in reversed(row))
-    return min(shifted, mirrored)
+    return (max if row[0] < row[1] else min)(shifted, mirrored)
 
 
 def _tied_gap_pairs(k):
@@ -162,7 +164,7 @@ def _tied_gap_pairs(k):
     return tied, tied == len(pairs)
 
 
-def test_key_is_smaller_of_shifted_and_mirrored():
+def test_key_puts_the_wider_end_gap_in_front():
     # every strictly increasing and every DMT row of length 2..6 over 0..6;
     # the rows whose gaps read the same both ways tie at the end gaps
     rows = [k for n in range(2, 7) for k in product(range(7), repeat=n)
@@ -375,17 +377,23 @@ def lagrange_at(points, x):
     (200, (4, 3, 3, 1)),
     (5000, (2, 1)),
     (997, (3, 3, 2, 2, 1, 1)),  # the W-row for n = 4, i = 994
+    (-300, (0, 1, 3, 6)),
+    (-5000, (0, 1)),
+    (-10**6, (0, 2, 3, 4, 6)),
+    (-1000, (0, 1, 2, 20)),  # the back gap is wider than the row too
 ])
 def test_wide_first_gap_matches_polynomial(k1, rest):
     # every kernel's count has degree <= n - 1 in k1 (Fischer 2006 for sc),
     # so its values at the n narrowest first gaps, by the oracle, fix it at
-    # any k1; a gap in the thousands must not deepen the recursion
+    # any k1; a gap in the thousands must not deepen the recursion.  A first
+    # entry below the rest makes an MT row, on which every kernel counts
     n = len(rest) + 1
+    cls, step = (TriangleClass.DMT, 1) if k1 > rest[0] else (TriangleClass.MT, -1)
     for kernel, statistic in (("sc", "sc"), ("plain", "plain"), ("pair", "dd_bar")):
-        count = stream_dp(TriangleClass.DMT, kernel)
-        points = [(a, count((a,) + rest)) for a in range(rest[0] + 1, rest[0] + n + 1)]
+        count = stream_dp(cls, kernel)
+        points = [(a, count((a,) + rest)) for a in range(rest[0] + step, rest[0] + step * (n + 1), step)]
         want = lagrange_at(points, k1)
-        assert signed_count((k1,) + rest, TriangleClass.DMT, statistic) == want, kernel
+        assert signed_count((k1,) + rest, cls, statistic) == want, kernel
         if kernel == "sc":
             assert alpha((k1,) + rest) == want
 
@@ -394,7 +402,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_recursion_depth_is_bounded_by_row_length():
-    # the DMT DP recurses a few frames per entry of the row, whatever its
+    # the DP recurses a few frames per entry of the row, whatever its
     # gaps: each row is counted in a fresh interpreter under a recursion
     # limit of 100, against the polynomial through the narrowest first gaps
     # or a table value (the doubled staircase n = 6 counts the 6 x 6 ASMs)
@@ -402,9 +410,14 @@ def test_recursion_depth_is_bounded_by_row_length():
     count = stream_dp(TriangleClass.DMT, "sc")
     points = [(a, count((a,) + rest)) for a in range(4, 11)]
     wide = [(k1,) + rest for k1 in (1023, 10**15)]
+    mt_rest = (0, 2, 3, 5)
+    mt_count = stream_dp(TriangleClass.MT, "plain")
+    mt_points = [(a, mt_count((a,) + mt_rest)) for a in range(-1, -6, -1)]
     cases = [(k, lagrange_at(points, k[0])) for k in wide] + [
         (mirror(wide[1]), lagrange_at(points, 10**15)),
         ((10**15, 1), 2 - 10**15),
+        ((0, 1, 10**15), 10**30 + 2 * 10**15 - 1),  # N^2 + 2N - 1 MTs over (0, 1, N)
+        ((-10**15,) + mt_rest, lagrange_at(mt_points, -10**15)),
         (tuple(range(11, 0, -1)), STAIRCASE_TABLE[11]),
         ((6, 6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1), ASM_COUNTS[5]),
     ]

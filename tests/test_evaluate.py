@@ -395,15 +395,15 @@ def test_strategies_agree_on_shifts_and_reflections(row, c):
 
 def test_operator_recursion_never_reads_dp_entries(monkeypatch):
     try:
-        for row, dp, cache in (((2, 4, 5, 8, 9), AlphaMethod.MONOTONE_DP, "_mt_partial"),
-                               ((6, 3, 3, 2, 1), AlphaMethod.SIGNED_DMT_DP, "_count_dmt")):
+        for row, dp in (((2, 4, 5, 8, 9), AlphaMethod.MONOTONE_DP),
+                        ((6, 3, 3, 2, 1), AlphaMethod.SIGNED_DMT_DP)):
             evaluate.clear_caches()
             want = alpha(row, AlphaMethod.OPERATOR_RECURSION)
             evaluate.clear_caches()
             alpha(row, dp)
-            warm = getattr(enumeration, cache)
+            warm = enumeration._count
             # every DP entry now reads one too many
-            monkeypatch.setattr(enumeration, cache,
+            monkeypatch.setattr(enumeration, "_count",
                                 functools.lru_cache(maxsize=None)(lambda *a: warm(*a) + 1))
             assert alpha(row, dp) == want + 1
             assert alpha(row, AlphaMethod.OPERATOR_RECURSION) == want
@@ -479,15 +479,13 @@ def test_staircase_values():
 
 def test_dp_state_counts(monkeypatch):
     # pins the DP's state space: one memo entry per distinct row up to
-    # translation and mirroring (an MT state is a partial sum at step 0), and
-    # the MT partial sums of the rows above at later steps.  The DMT
-    # transitions are the rows a state sums: its own rows above, or those of
-    # its rest read from the rest memo.  The rows streamed are those the
-    # kernel made, once per rest of a first-gap chain
-    streamed, summed, steps = [], [], []
+    # translation and mirroring.  The transitions are the rows a state sums:
+    # its own rows above, or those of its rest read from the rest memo.  The
+    # rows streamed are those the kernel made, once per rest of a first-gap
+    # chain
+    streamed, summed = [], []
     kernel = enumeration._rows_above
     rest_rows = enumeration._rest_rows
-    partial = enumeration._mt_partial.__wrapped__
 
     def streaming(k, cls):
         for item in kernel(k, cls):
@@ -505,26 +503,19 @@ def test_dp_state_counts(monkeypatch):
         return rows
 
     reading_rest.cache_clear = rest_rows.cache_clear
-
-    def recording(mixed, j):
-        steps.append(j)
-        return partial(mixed, j)
-
     # the rest memo fills through predecessors; a whole-row state calls the kernel
     monkeypatch.setattr(enumeration, "predecessors", streaming)
     monkeypatch.setattr(enumeration, "_rows_above", summing)
     monkeypatch.setattr(enumeration, "_rest_rows", reading_rest)
-    monkeypatch.setattr(enumeration, "_mt_partial", functools.lru_cache(maxsize=None)(recording))
     try:
-        for row, states, partials, transitions, rows_streamed in (
-                (tuple(range(11, 0, -1)), (0, 1329), 0, 5615, 5067),
-                ((0, 3, 5, 8, 10, 13), (324, 0), 1646, 0, 0)):
+        for row, states, transitions, rows_streamed in (
+                (tuple(range(11, 0, -1)), 1329, 5615, 5067),
+                ((0, 3, 5, 8, 10, 13), 325, 5423, 2961)):
             evaluate.clear_caches()
-            for seen in (streamed, summed, steps):
-                seen.clear()
+            streamed.clear()
+            summed.clear()
             alpha(row)
-            assert (steps.count(0), enumeration._count_dmt.cache_info().currsize) == states, row
-            assert len(steps) - steps.count(0) == partials, row
+            assert enumeration._count.cache_info().currsize == states, row
             assert (len(summed), len(streamed)) == (transitions, rows_streamed), row
     finally:
         evaluate.clear_caches()
@@ -533,10 +524,11 @@ def test_dp_state_counts(monkeypatch):
 def test_wide_first_gap_states_do_not_grow_with_the_gap():
     # a first gap wider than the row is extrapolated from the n narrowest
     # gaps over the same rest, so the states are those of the narrow rows
-    evaluate.clear_caches()
     try:
-        alpha((5000, 3, 3, 2, 2, 1, 1))
-        assert enumeration._count_dmt.cache_info().currsize <= 100
+        for row in ((5000, 3, 3, 2, 2, 1, 1), (-5000, 0, 1, 2, 3)):
+            evaluate.clear_caches()
+            alpha(row)
+            assert enumeration._count.cache_info().currsize <= 100, row
     finally:
         evaluate.clear_caches()
 
@@ -559,8 +551,9 @@ def test_clear_caches_empties_every_cache():
 
 
 def test_mt_dp_against_row_stream():
-    # the DP fixes the row above one entry at a time; the oracle sums over
-    # whole rows from predecessors, memoised on the exact row
+    # the DP steps along a first gap and extrapolates one wider than the row;
+    # the oracle sums over whole rows from predecessors, memoised on the
+    # exact row.  The last rows have an end gap, or both, wider than the row
     MT = enumeration.TriangleClass.MT
 
     @functools.cache
@@ -568,9 +561,10 @@ def test_mt_dp_against_row_stream():
         return 1 if len(k) == 1 else sum(stream(l) for l, _ in enumeration.predecessors(k, MT))
 
     rng = random.Random(7)
+    rows = [tuple(sorted(rng.sample(range(-8, 8), rng.randint(2, 6)))) for _ in range(40)]
+    rows += [(0, 1, 2, 14), (-12, 0, 1, 3, 4), (-9, 0, 1, 2, 12), (0, 9, 10, 11, 13), (0, 7)]
     evaluate.clear_caches()
-    for _ in range(40):
-        k = tuple(sorted(rng.sample(range(-8, 8), rng.randint(2, 6))))
+    for k in rows:
         assert alpha(k, AlphaMethod.MONOTONE_DP) == stream(k), k
 
 
@@ -586,14 +580,12 @@ def test_staircase_15():
 
 
 def test_cache_limit_keeps_results_correct(monkeypatch):
-    tiny_dmt = functools.lru_cache(maxsize=2)(enumeration._count_dmt.__wrapped__)
-    tiny_partial = functools.lru_cache(maxsize=2)(enumeration._mt_partial.__wrapped__)
+    tiny_count = functools.lru_cache(maxsize=2)(enumeration._count.__wrapped__)
     tiny_op = functools.lru_cache(maxsize=2)(evaluate._alpha_op.__wrapped__)
     tiny_terms = functools.lru_cache(maxsize=2)(evaluate._op_terms.__wrapped__)
     tiny_rest = functools.lru_cache(maxsize=2)(enumeration._rest_rows.__wrapped__)
-    monkeypatch.setattr(enumeration, "_count_dmt", tiny_dmt)
+    monkeypatch.setattr(enumeration, "_count", tiny_count)
     monkeypatch.setattr(enumeration, "_rest_rows", tiny_rest)
-    monkeypatch.setattr(enumeration, "_mt_partial", tiny_partial)
     monkeypatch.setattr(evaluate, "_alpha_op", tiny_op)
     monkeypatch.setattr(evaluate, "_op_terms", tiny_terms)
     assert alpha((2, 4, 5, 8, 9), AlphaMethod.MONOTONE_DP) == 16939
@@ -602,9 +594,8 @@ def test_cache_limit_keeps_results_correct(monkeypatch):
     # a W-row steps along its first gap over rests read from the rest memo
     assert alpha((7, 4, 4, 3, 3, 2, 2, 1, 1)) == refined_asm(5, 3) == 135
     assert 0 < tiny_rest.cache_info().currsize <= 2
-    assert 0 < tiny_dmt.cache_info().currsize <= 2
+    assert 0 < tiny_count.cache_info().currsize <= 2
     assert tiny_op.cache_info().currsize <= 2
-    assert 0 < tiny_partial.cache_info().currsize <= 2
     assert 0 < tiny_terms.cache_info().currsize <= 2
 
 
