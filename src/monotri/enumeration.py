@@ -11,14 +11,15 @@ where the row branches.  ``predecessors`` checks its row and returns that
 stream; ``enum_triangles`` stacks rows from it.
 
 ``signed_count`` runs one DP over distinct rows of either class, a bounded
-LRU cache keyed by the kernel and ``_key``: the row shifted to end in 0 or
-its mirror image shifted likewise, whichever puts the wider end gap in
-front; the first pair of gaps that differ, read inward from both ends,
-decides which, and one tuple is built.  ``_count(kernel, row)`` counts a key
-by the rules in its docstring: from its rows above, from the rows above its
-rest, read from ``_rest_rows``, a small LRU cache, or from narrower first
-gaps, so no count walks an end gap wider than the row.  The ``enum_*``
-functions check their arguments when called and return the stream.
+LRU cache keyed by the kernel and ``_key``: the gap word or its reverse
+(the mirror image), whichever puts the wider end gap in front; inside the
+DP, ``_lookup`` keys a DMT row under ``sc`` by its rotation class.
+``_count(kernel, gaps)`` counts a key by the rules in its docstring: from
+its rows above, from the rows above its rest, read from ``_rest_rows``, a
+small LRU cache, or from narrower first gaps, so no count walks an end gap
+wider than the row; rows above are bounded by the gaps before any is made.
+The ``enum_*`` functions check their arguments when called and return the
+stream.
 
 Each sign-matrix class (ASMs, 2-ASMs and the W-objects for (n, i)) has one
 description, ``_matrix_class``: the machine that reads each row, the one
@@ -34,6 +35,8 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import accumulate
+from operator import sub
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,7 +52,7 @@ from .core import (
     validate_dmt,
     validate_monotone,
 )
-from .errors import InternalError, InvalidInputError
+from .errors import InternalError, InvalidInputError, ResourceLimitError
 
 STATISTICS = ("plain", "sc", "dd_with_prefactor", "dd_bar")
 
@@ -59,6 +62,7 @@ _MEMO_ENTRIES = 1 << 20
 # unbounded table more than doubles the peak memory of staircase n = 15 for
 # no gain in time
 _REST_ENTRIES = 256
+_ABOVE_LIMIT = 1 << 20  # rows above one row that the DP may stream or keep
 
 
 class TriangleClass(Enum):
@@ -169,58 +173,94 @@ def _checked_triangles(bottom, cls):
         yield t
 
 
-def _key(row):
-    """The DP key of ``row``: the row shifted to end in 0 or its mirror image
-    (-k_n, ..., -k_1) shifted likewise, whichever puts the wider end gap in
-    front.  Mirroring maps MT rows to MT rows and DMT rows to DMT rows, and
-    keeps every kernel's count.  The first pair of gaps ``k_i - k_{i+1}``,
-    ``k_{n-i} - k_{n-i+1}`` that differ in size, read inward, decides: the
-    shifted tuple where the front gap is wider, the mirrored one where it is
-    narrower.  So a DMT key, its gaps >= 0, is the smaller tuple and an MT key
-    the larger.  A row whose gaps read the same both ways is its own mirror
-    image up to shift.  One tuple is built."""
-    i, j = 0, len(row) - 1
-    while i + 1 < j:
-        ends = abs(row[i] - row[i + 1]) - abs(row[j - 1] - row[j])
-        if ends < 0:
-            first = row[0]
-            return tuple([first - x for x in reversed(row)])
-        if ends:
-            break
-        i += 1
-        j -= 1
-    last = row[-1]
-    return tuple([x - last for x in row])
+def _gaps(row):
+    """The gap word ``(k1 - k2, ..., k_{n-1} - k_n)`` of ``row``."""
+    return tuple([*map(sub, row, row[1:])])
 
 
-def _class_of(row):
-    """The class of a key of two or more entries, read off its first gap."""
-    return TriangleClass.MT if row[0] < row[1] else TriangleClass.DMT
+def _key(gaps):
+    """The DP key of gap word ``gaps``: it or its reverse, the mirror image
+    (-k_n, ..., -k_1), which keeps the class and every kernel's count,
+    whichever puts the wider end gap in front (the first pair of gaps that
+    differ in size, read inward, decides): the larger word for DMT, gaps >= 0."""
+    back = gaps[::-1]
+    return min(gaps, back) if gaps[0] < 0 else max(gaps, back)
+
+
+def _class_of(gaps):
+    """The class of a row of two or more entries, read off its first gap."""
+    return TriangleClass.MT if gaps[0] < 0 else TriangleClass.DMT
+
+
+def _bounded_row(gaps):
+    """The row with gap word ``gaps`` that ends in 0, once its rows above, at
+    most the product of ``|g| + 1`` (<= 2 ** spread), fit ``_ABOVE_LIMIT``."""
+    row = list(accumulate(reversed(gaps), initial=0))
+    row.reverse()
+    if abs(row[0]) > 20 and math.prod([abs(g) + 1 for g in gaps]) > _ABOVE_LIMIT:
+        raise ResourceLimitError(f"over {_ABOVE_LIMIT} rows above a row with gaps {gaps}")
+    return tuple(row)
+
+
+def _weights(kernel, row, stream):
+    """``stream``, rows above ``row`` with their sign changes, each count
+    replaced by the exponent of the row's weight under ``kernel``."""
+    if kernel == "sc" or row[0] < row[1]:
+        return stream
+    pairs = _pair_values(row) if kernel == "pair" else set()
+    return ((above, len(_pair_values(above) & pairs) if pairs else 0) for above, _ in stream)
 
 
 @functools.lru_cache(maxsize=_REST_ENTRIES)
-def _rest_rows(rest):
-    """The rows above ``rest`` with their sign changes, as one tuple, from
-    ``predecessors`` called through the module name, so the steps of
-    ``_count`` over one rest stream and check it once.  The tuple is copied
-    from a list: one built from the stream grows by reallocation, which
-    fragments the heap, and the peak memory of repeated cold runs rose with
-    it (by 2.3 MB over 40 passes of perfbench's alpha-cold rows)."""
-    return tuple(list(predecessors(rest, _class_of(rest))))
+def _rest_rows(kernel, rest):
+    """Each row A above the row R with gap word ``rest`` as ``(R[0] - A[0],
+    A's gaps, parity of its weight)``, in one tuple copied from a list (one
+    built from the stream grows by reallocation, which fragments the heap:
+    2.3 MB more peak memory over 40 cold passes of perfbench's alpha-cold),
+    from ``predecessors`` called through the module name, so the steps of
+    ``_count`` over one rest stream and check it once."""
+    row = _bounded_row(rest)
+    stream = _weights(kernel, row, predecessors(row, _class_of(rest)))
+    return tuple([(row[0] - a[0], _gaps(a), e & 1) for a, e in stream])
+
+
+def _lookup(kernel, gaps):
+    """The count of gap word ``gaps``, from ``_count`` at its key.  Under
+    ``sc`` (alpha at a DMT row) alpha(n; k) = (-1)^(n-1) alpha(n; k2..kn,
+    k1 - n) (Fischer 2007): at n >= 3 and spread <= n, leaving one gap of the
+    cycle ``gaps + (n - spread,)`` out gives a row.  Two adjacent zeros in it
+    give one with a triple, so 0; else the key is the largest word either way
+    of a cut at the widest gap, entry j, weighed by (-1)^((n-1)(j+1))."""
+    n = len(gaps) + 1
+    # where the spare gap alone is the widest, the cut there is the row itself
+    if (kernel != "sc" or n < 3 or gaps[0] < 0
+            or not 0 <= (spare := n - sum(gaps)) <= (top := max(gaps))):
+        return _count(kernel, _key(gaps))
+    if not spare and not (gaps[0] and gaps[-1]):
+        return 0
+    cycle = (gaps + (spare,)) * 2  # the cut at j is cycle[j + 1:j + n]
+    j = cut = cycle.index(top)
+    key = max(cycle[j + 1:j + n], cycle[j + n - 1:j:-1])
+    for _ in range(1, cycle.count(top) // 2):
+        j = cycle.index(top, j + 1)
+        if (word := max(cycle[j + 1:j + n], cycle[j + n - 1:j:-1])) > key:
+            key, cut = word, j
+    value = _count(kernel, key)
+    return -value if n % 2 == 0 == cut % 2 else value
 
 
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
-def _count(kernel, row):
-    """DP over distinct rows of either class; ``row`` is a key of ``_key``,
-    and so is every row it looks up.  It sums the rows above, keys each by
-    ``_key``, and weighs it by ``kernel``: ``plain`` 1, ``sc`` (-1)^sc,
-    ``pair`` (-1) to the number of pair values the row shares with ``row``,
-    which dd and dd_bar share.  Every weight is 1 on MT rows, which have
-    neither pairs nor sign changes.  A key of three or more entries with
-    first gap ``w = |k1 - k2|`` at most 1 streams its rows above from
-    ``_rows_above``, unchecked, as the DP built it from a checked row.
+def _count(kernel, gaps):
+    """DP over distinct rows of either class; ``gaps`` is a key of ``_key``
+    or ``_lookup``, and every row it sums is read through ``_lookup`` and
+    weighed by ``kernel``: ``plain`` 1, ``sc`` (-1)^sc, ``pair`` (-1) to the
+    number of pair values the row shares with the row below, which dd and
+    dd_bar share.  Every weight is 1 on MT rows, which have neither pairs nor
+    sign changes.  A key of three or more entries with first gap
+    ``w = |k1 - k2|`` at most 1 streams its rows above from ``_rows_above``,
+    unchecked, as the DP built it from a checked row.
 
-    A key ``(g, 0)`` has g - 1 rows above, each a DMT newcomer, or one row (0)
+    A key ``(g,)`` has g - 1 rows above, each a DMT newcomer, or one row (0)
     when g = 0, or 1 - g MT rows when g < 0: its count is ``1 - g`` under
     ``sc`` and ``|g - 1|`` else.  A key ``(k1,) + R`` of n >= 3 entries with
     w from 2 to n steps along that gap.  A DMT count is that of
@@ -231,36 +271,32 @@ def _count(kernel, row):
     outside them; the rest are the ``(k1 - 1,) + A``, that entry a newcomer.
     An MT count is that of ``(k1 + 1,) + R`` plus that of ``(k1,) + A`` for
     each A above R: the rows above that do not begin with k1 are those above
-    ``(k1 + 1,) + R``.  The rows above R come from ``_rest_rows``.  By that
-    step, and by induction from the two-entry count, every kernel's count has
-    degree at most n - 1 in k1 from w = 1 on (for ``sc`` Fischer 2006), so a
-    gap wider than n is the Lagrange extrapolation from gaps 1..n over the
-    same R, taken in increasing gap so each step finds the one below it
-    cached.  ``_key`` puts the wider end gap in front, so the recursion is a
-    few rows deep whatever the gaps at the ends."""
-    n, gap, rest = len(row), row[0] - row[1], row[1:]
+    ``(k1 + 1,) + R``.  The A come from ``_rest_rows``.  By that step, and
+    by induction from the two-entry count, every kernel's count has degree at
+    most n - 1 in k1 from w = 1 on (for ``sc`` Fischer 2006), so a gap wider
+    than n is the Lagrange extrapolation from gaps 1..n over the same R,
+    taken in increasing gap so each step finds the one below it cached; as
+    the wider end gap is in front, the recursion is a few rows deep."""
+    n, gap, rest = len(gaps) + 1, gaps[0], gaps[1:]
     if n == 2:
         return 1 - gap if kernel == "sc" else abs(gap - 1)
     w, step = abs(gap), 1 if gap > 0 else -1  # k1 - step narrows the first gap
     if w > n:
         # L_i(w) over the nodes 1..n, with its denominator folded into the combs
         return sum([(-1) ** (n - i) * math.comb(w - 1, i - 1) * math.comb(w - i - 1, n - i)
-                    * _count(kernel, _key((rest[0] + step * i,) + rest)) for i in range(1, n + 1)])
-    by_sc, by_pairs = kernel == "sc", kernel == "pair"
-    below_pairs = _pair_values(row) if by_pairs else None
+                    * _lookup(kernel, (step * i,) + rest) for i in range(1, n + 1)])
     if w < 2:
-        head, flip, value, stream = (), 0, 0, _rows_above(row, _class_of(row))
-    else:
-        # a DMT row above puts a newcomer k1 - 1 in front, one more sign change
-        flip = int(gap > 0)
-        head, stream = (row[0] - flip,), _rest_rows(rest)
-        value = _count(kernel, _key((row[0] - step,) + rest))
-    for above, sc in stream:
-        sub = _count(kernel, _key(head + above))
-        if by_sc and (sc + flip) & 1 or by_pairs and len(_pair_values(above) & below_pairs) & 1:
-            value -= sub
-        else:
-            value += sub
+        row, value = _bounded_row(gaps), 0
+        for above, e in _weights(kernel, row, _rows_above(row, _class_of(gaps))):
+            count = _lookup(kernel, _gaps(above))
+            value += -count if e & 1 else count
+        return value
+    # a DMT row above puts a newcomer k1 - 1 in front, one more sign change
+    base, flip = gap - (gap > 0), gap > 0 and kernel == "sc"
+    value = _lookup(kernel, (gap - step,) + rest)
+    for drop, above, odd in _rest_rows(kernel, rest):
+        count = _lookup(kernel, (base + drop,) + above)
+        value += -count if odd != flip else count
     return value
 
 
@@ -290,7 +326,7 @@ def _signed_count(bottom, cls, statistic, shape):
     if n == 1:
         value = 1
     else:
-        value = _count("pair" if statistic.startswith("dd") else statistic, _key(bottom))
+        value = _count("pair" if statistic.startswith("dd") else statistic, _key(_gaps(bottom)))
     if statistic != "dd_with_prefactor":
         return value
     bottom_pairs = sum(1 for a, b in zip(bottom, bottom[1:]) if a == b)

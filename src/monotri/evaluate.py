@@ -15,12 +15,14 @@ are provided and must agree wherever their domains overlap:
 
 Both DP methods are the one DP of ``enumeration.signed_count``, entered
 through its private form that takes the row shape ``alpha`` has already
-classified, so a call classifies its row once.  The DP keys a row and its
-mirror image (-k_n, ..., -k_1), each shifted to end in 0, as one; it takes
-whole rows, steps down a narrow first gap or extrapolates a wide one
-(``enumeration``'s ``_count``).  The summation operator at a bound vector
-is a cached table of signed points, built by the chosen recursion from the
-tables of shorter vectors; applying it calls the function once per point.
+classified, so a call classifies its row once.  The DP keys a row by its
+gaps, with its mirror image (-k_n, ..., -k_1), and a DMT row inside the DP
+by its rotation class too, by Fischer's cyclic shift; it takes whole rows,
+steps down a narrow first gap or extrapolates a wide one (``enumeration``'s
+``_count``), and raises ResourceLimitError past 2**20 rows above one row.
+The summation operator at a bound vector is a cached table of signed
+points, built by the chosen recursion from the tables of shorter vectors;
+applying it calls the function once per point.
 The operator recursion caches its values apart, keyed by rows shifted to
 start at 0, so it never reads the DP's entries and stays an independent
 check.  Row and bound entries, sizes and indices must be integers by

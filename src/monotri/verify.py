@@ -73,7 +73,8 @@ W43_SAMPLE = (
     (0, 1, 0),
 )
 
-TABLE_VALUES = {3: -1, 5: 3, 7: -26, 9: 646, 11: -45885, 13: 9304650}
+TABLE_VALUES = {3: -1, 5: 3, 7: -26, 9: 646, 11: -45885, 13: 9304650, 15: -5382618660,
+                17: 8878734657276}
 
 
 def _w_row(n, i):
@@ -345,7 +346,7 @@ IDENTITIES = {
     "stats_parity": _Identity(_run_stats_parity, {"max_entry": 4, "max_len": 4},
                               {"max_entry": 5, "max_len": 5}, "max_len"),
     "conjbij": _Identity(_run_conjbij, {"n_max": 3}, {"n_max": 4}, "n_max"),
-    "table": _Identity(_run_table, {"n_max": 9}, {"n_max": 13}, "n_max",
+    "table": _Identity(_run_table, {"n_max": 9}, {"n_max": 17}, "n_max",
                        "rows above n_max are opt-in long-running checks"),
     "conjecture": _Identity(_run_conjecture, {"m_max": 3}, {"m_max": 5}, "m_max",
                             "cases above m_max are opt-in long-running checks"),

@@ -75,7 +75,8 @@ ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348)
 REFINED = {1: (1,), 2: (1, 1), 3: (2, 3, 2), 4: (7, 14, 14, 7)}
 
 # alpha(n; n, n-1, ..., 1) for the odd sizes with known values
-STAIRCASE_TABLE = {3: -1, 5: 3, 7: -26, 9: 646, 11: -45885, 13: 9304650}
+STAIRCASE_TABLE = {3: -1, 5: 3, 7: -26, 9: 646, 11: -45885, 13: 9304650, 15: -5382618660,
+                   17: 8878734657276}
 
 
 def mt_bottom(n):

@@ -311,8 +311,8 @@ def test_criterion_13_property_suites():
 
 @pytest.mark.long
 def test_criterion_10_long_rows():
-    with criterion("criterion-10-long staircase rows 11 and 13"):
-        report = verify("table", {"n_max": 13})
+    with criterion("criterion-10-long staircase rows 11 to 17"):
+        report = verify("table", {"n_max": 17})
         assert report.status == "Verified"
         values = {e for _, e, _ in report.details}
-        assert -45885 in values and 9304650 in values
+        assert {-45885, 9304650, -5382618660, 8878734657276} <= values

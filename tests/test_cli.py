@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,16 @@ def test_alpha_out_of_memory(capsys, monkeypatch):
     monkeypatch.setattr(cli, "alpha", exhausting)
     code, out, err = run(capsys, "alpha", "--row", "0,1,2")
     assert (code, out, err) == (3, "", "resource limit: out of memory\n")
+
+
+@pytest.mark.parametrize("row", ["100000000000000,99999999999995,3,3,1", "0,1,2000,2001,4000,4001"])
+def test_alpha_wide_inner_gap_stops_at_budget(capsys, row):
+    # a wide inner gap is not extrapolated: the rows above a row with gaps g,
+    # at most the product of |g| + 1, are bounded before any is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "alpha", "--row", row)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == "" and "rows above" in err
 
 
 def test_alpha_wide_monotone_gap(capsys):
@@ -114,7 +125,7 @@ def test_enum_wni(capsys):
 def test_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--id", "table", "--n", "9")
     assert code == 0 and "Verified" in out
-    code, _, err = run(capsys, "verify", "--id", "table", "--n", "15")
+    code, _, err = run(capsys, "verify", "--id", "table", "--n", "19")
     assert code == 2 and "skipped" in err
     code, out, err = run(capsys, "verify", "--id", "table", "--n", "0")
     assert code == 2 and "Skipped" in out and "no checks" in err

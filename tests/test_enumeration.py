@@ -145,18 +145,23 @@ def test_predecessors_against_brute_force(cls):
         assert list(predecessors(k, cls)) == list(brute_predecessors(k, cls)), k
 
 
+def gap_word(row):
+    return tuple(a - b for a, b in zip(row, row[1:]))
+
+
 def _key_oracle(row):
-    # the smaller tuple puts the wider end gap in front of a DMT row, the
+    # the gap word of the row or of its mirror image, each shifted to end in
+    # 0: the smaller row puts the wider end gap in front of a DMT row, the
     # larger in front of an MT row
     shifted = tuple(x - row[-1] for x in row)
     mirrored = tuple(row[0] - x for x in reversed(row))
-    return (max if row[0] < row[1] else min)(shifted, mirrored)
+    return gap_word((max if row[0] < row[1] else min)(shifted, mirrored))
 
 
 def _tied_gap_pairs(k):
     """How many pairs of gaps tie, read inward from both ends, and whether
     all of them do."""
-    gaps = [a - b for a, b in zip(k, k[1:])]
+    gaps = gap_word(k)
     pairs = list(zip(gaps, reversed(gaps)))[:len(gaps) // 2]
     tied = 0
     while tied < len(pairs) and pairs[tied][0] == pairs[tied][1]:
@@ -172,7 +177,7 @@ def test_key_puts_the_wider_end_gap_in_front():
             or all(a >= b for a, b in zip(k, k[1:])) and max(map(k.count, k)) <= 2]
     palindromes = 0
     for k in rows:
-        assert enumeration._key(k) == _key_oracle(k), k
+        assert enumeration._key(gap_word(k)) == _key_oracle(k), k
         palindromes += _tied_gap_pairs(k)[1]
     assert (len(rows), palindromes) == (1008, 188)
     # rows of 8 and 9 entries, DMT with gaps 0..2 and MT with gaps 1..3: the
@@ -183,7 +188,7 @@ def test_key_puts_the_wider_end_gap_in_front():
              for gaps in product((1, 2, 3), repeat=n - 1)]
     tallies = Counter()
     for k in rows:
-        assert enumeration._key(k) == _key_oracle(k), k
+        assert enumeration._key(gap_word(k)) == _key_oracle(k), k
         tied, palindrome = _tied_gap_pairs(k)
         tallies["palindrome" if palindrome else tied] += 1
     assert tallies == {0: 8848, 1: 2916, 2: 1016, 3: 270, "palindrome": 266}
@@ -357,6 +362,21 @@ def test_dp_counts_at_wide_first_gaps(kernel, statistic):
         want = count(k)
         assert signed_count(k, TriangleClass.DMT, statistic) == want, k
         assert signed_count(mirror(k), TriangleClass.DMT, statistic) == want, k
+
+
+def test_rotated_sc_count():
+    # under sc a DMT row of spread <= n is looked up by its rotation class,
+    # alpha(n; k1..kn) = (-1)^(n-1) alpha(n; k2..kn, k1-n): every DMT row of
+    # 3..7 entries from 0..7, against the oracle that keys nothing.  Rows of
+    # spread n with a pair at either end are 0 by the zero rule
+    count = stream_dp(TriangleClass.DMT, "sc")
+    rows = [k for m in range(3, 8) for k in combinations_with_replacement(range(7, -1, -1), m)
+            if max(map(k.count, k)) <= 2]
+    zero = 0
+    for k in rows:
+        assert enumeration._lookup("sc", gap_word(k)) == count(k), k
+        zero += k[0] - k[-1] == len(k) and (k[0] == k[1] or k[-2] == k[-1])
+    assert (len(rows), zero) == (2682, 490)
 
 
 def lagrange_at(points, x):

@@ -470,6 +470,19 @@ def test_alpha_rotation():
             ), k
 
 
+def test_rotation_identity_by_operator_recursion():
+    # Fischer's cyclic shift, on which the DP's sc keys rest, checked where
+    # the DP takes no part: the operator recursion on both sides, at random
+    # integer rows up to n = 5, one entry more than test_alpha_rotation
+    rng = random.Random(2007)
+    evaluate.clear_caches()
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        k = tuple(rng.randint(0, 6) for _ in range(n))
+        shifted = alpha(k[1:] + (k[0] - n,), AlphaMethod.OPERATOR_RECURSION)
+        assert alpha(k, AlphaMethod.OPERATOR_RECURSION) == (-1) ** (n - 1) * shifted, k
+
+
 def test_staircase_values():
     for n in (3, 5, 7, 9, 11, 13):
         assert alpha(tuple(range(n, 0, -1))) == STAIRCASE_TABLE[n]
@@ -479,10 +492,10 @@ def test_staircase_values():
 
 def test_dp_state_counts(monkeypatch):
     # pins the DP's state space: one memo entry per distinct row up to
-    # translation and mirroring.  The transitions are the rows a state sums:
-    # its own rows above, or those of its rest read from the rest memo.  The
-    # rows streamed are those the kernel made, once per rest of a first-gap
-    # chain
+    # translation and mirroring, and under sc (the staircase) up to rotation
+    # too.  The transitions are the rows a state sums: its own rows above, or
+    # those of its rest read from the rest memo.  The rows streamed are those
+    # the kernel made, once per rest of a first-gap chain
     streamed, summed = [], []
     kernel = enumeration._rows_above
     rest_rows = enumeration._rest_rows
@@ -497,8 +510,8 @@ def test_dp_state_counts(monkeypatch):
             summed.append(item)
             yield item
 
-    def reading_rest(rest):
-        rows = rest_rows(rest)
+    def reading_rest(*key):
+        rows = rest_rows(*key)
         summed.extend(rows)
         return rows
 
@@ -509,7 +522,7 @@ def test_dp_state_counts(monkeypatch):
     monkeypatch.setattr(enumeration, "_rest_rows", reading_rest)
     try:
         for row, states, transitions, rows_streamed in (
-                (tuple(range(11, 0, -1)), 1329, 5615, 5067),
+                (tuple(range(11, 0, -1)), 140, 496, 496),
                 ((0, 3, 5, 8, 10, 13), 325, 5423, 2961)):
             evaluate.clear_caches()
             streamed.clear()
@@ -577,6 +590,15 @@ def test_wide_increasing_rows():
 def test_staircase_15():
     # equals (-1)^7 alpha(7; 2, 4, ..., 14), the conjecture at m = 7
     assert alpha(tuple(range(15, 0, -1))) == -5382618660
+
+
+@pytest.mark.long
+def test_conjecture_at_m_8():
+    # alpha(2m+1; 2m+1, ..., 1) = (-1)^m alpha(m; 2, 4, ..., 2m) at m = 8,
+    # past the cap of the conjecture identity: the rotated DMT DP on the
+    # left, the monotone DP on the right
+    left = alpha(tuple(range(17, 0, -1)), AlphaMethod.SIGNED_DMT_DP)
+    assert left == alpha(tuple(range(2, 17, 2)), AlphaMethod.MONOTONE_DP) == STAIRCASE_TABLE[17]
 
 
 def test_cache_limit_keeps_results_correct(monkeypatch):

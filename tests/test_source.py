@@ -67,6 +67,24 @@ def test_every_memo_is_bounded():
         assert all(isinstance(size, int) for size in caches.values()), (name, caches)
 
 
+def test_dp_tuples_are_built_from_lists():
+    # a tuple built from an iterator of unknown length grows by reallocation,
+    # which fragments the heap: gap words built with tuple(map(sub, a, a[1:]))
+    # raised the peak memory of repeated cold alpha runs by over a megabyte,
+    # where the same words built from lists left it unchanged
+    found = []
+    for name in ("enumeration", "evaluate"):
+        path = SRC / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "tuple" and node.args
+                    and (isinstance(node.args[0], ast.GeneratorExp)
+                         or isinstance(node.args[0], ast.Call)
+                         and getattr(node.args[0].func, "id", None) in ("map", "zip"))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 PERFBENCH = SRC.parents[1] / "perfbench"
 
 

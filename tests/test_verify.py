@@ -33,7 +33,7 @@ def test_non_integer_parameter_rejected(value):
 
 
 def test_out_of_range_parameters_skip():
-    report = verify("table", {"n_max": 15})
+    report = verify("table", {"n_max": 19})
     assert report.status == "Skipped"
     assert report.reason and "n_max" in report.reason
     assert report.details == ()
