@@ -6,8 +6,9 @@ Everything is computed in exact integer arithmetic.  The counting
 polynomial alpha(n; k1..kn) counts monotone triangles at strictly
 increasing bottom rows and equals a signed enumeration of decreasing
 monotone triangles at weakly decreasing ones; this package evaluates it by
-three independent strategies, enumerates all the object classes, applies
-the triangle/matrix correspondences, and mechanically verifies the
+one predecessor-row DP run on both row classes and by the operator
+recursion, its independent check, enumerates all the object classes,
+applies the triangle/matrix correspondences, and mechanically verifies the
 identities connecting them.
 """
 

@@ -15,9 +15,10 @@ LRU cache keyed by the kernel and ``_key``: the gap word or its reverse
 (the mirror image), whichever puts the wider end gap in front; inside the
 DP, ``_lookup`` keys a DMT row under ``sc`` by its rotation class.
 ``_count(kernel, gaps)`` counts a key by the rules in its docstring: from
-its rows above, from the rows above its rest, read from ``_rest_rows``, a
-small LRU cache, or from narrower first gaps, so no count walks an end gap
-wider than the row; rows above are bounded by the gaps before any is made.
+its rows above, from the rows above its rest, or from narrower first gaps,
+so no count walks an end gap wider than the row.  Rows above reach the DP
+only through ``_above``, a small LRU cache filled from ``predecessors``:
+bounded by the gaps before any is made, checked, and kept as gap words.
 The ``enum_*`` functions check their arguments when called and return the
 stream.
 
@@ -57,11 +58,11 @@ from .errors import InternalError, InvalidInputError, ResourceLimitError
 STATISTICS = ("plain", "sc", "dd_with_prefactor", "dd_bar")
 
 _MEMO_ENTRIES = 1 << 20
-# rests held by _rest_rows: on a cold pass over the alpha-cold rows of
-# perfbench a larger bound gains no hit and 64 lose over half of them, and an
-# unbounded table more than doubles the peak memory of staircase n = 15 for
-# no gain in time
-_REST_ENTRIES = 256
+# rows held by _above: on a cold pass over the alpha-cold rows of perfbench a
+# larger bound gains no hit and 64 lose about half of them, and an unbounded
+# table more than doubles the peak memory of staircase n = 17 and nearly
+# triples that of alpha(9; 2, 4, ..., 18)
+_ABOVE_ENTRIES = 256
 _ABOVE_LIMIT = 1 << 20  # rows above one row that the DP may stream or keep
 
 
@@ -187,40 +188,23 @@ def _key(gaps):
     return min(gaps, back) if gaps[0] < 0 else max(gaps, back)
 
 
-def _class_of(gaps):
-    """The class of a row of two or more entries, read off its first gap."""
-    return TriangleClass.MT if gaps[0] < 0 else TriangleClass.DMT
-
-
-def _bounded_row(gaps):
-    """The row with gap word ``gaps`` that ends in 0, once its rows above, at
-    most the product of ``|g| + 1`` (<= 2 ** spread), fit ``_ABOVE_LIMIT``."""
-    row = list(accumulate(reversed(gaps), initial=0))
-    row.reverse()
+@functools.lru_cache(maxsize=_ABOVE_ENTRIES)
+def _above(kernel, gaps):
+    """Each row A above the row K with gap word ``gaps`` that ends in 0 as
+    ``(K[0] - A[0], A's gaps, parity of A's weight under kernel)``: every row
+    the DP sums, a key's own or its rest's.  They come from ``predecessors``,
+    called through the module name, so each is checked, once the product of
+    ``|g| + 1`` (<= 2 ** spread) bounds them by ``_ABOVE_LIMIT``.  The tuple
+    is copied from a list: one built from the stream grows by reallocation,
+    which fragments the heap (2.3 MB more peak memory over 40 cold passes of
+    perfbench's alpha-cold)."""
+    row = tuple(accumulate(reversed(gaps), initial=0))[::-1]
     if abs(row[0]) > 20 and math.prod([abs(g) + 1 for g in gaps]) > _ABOVE_LIMIT:
         raise ResourceLimitError(f"over {_ABOVE_LIMIT} rows above a row with gaps {gaps}")
-    return tuple(row)
-
-
-def _weights(kernel, row, stream):
-    """``stream``, rows above ``row`` with their sign changes, each count
-    replaced by the exponent of the row's weight under ``kernel``."""
-    if kernel == "sc" or row[0] < row[1]:
-        return stream
-    pairs = _pair_values(row) if kernel == "pair" else set()
-    return ((above, len(_pair_values(above) & pairs) if pairs else 0) for above, _ in stream)
-
-
-@functools.lru_cache(maxsize=_REST_ENTRIES)
-def _rest_rows(kernel, rest):
-    """Each row A above the row R with gap word ``rest`` as ``(R[0] - A[0],
-    A's gaps, parity of its weight)``, in one tuple copied from a list (one
-    built from the stream grows by reallocation, which fragments the heap:
-    2.3 MB more peak memory over 40 cold passes of perfbench's alpha-cold),
-    from ``predecessors`` called through the module name, so the steps of
-    ``_count`` over one rest stream and check it once."""
-    row = _bounded_row(rest)
-    stream = _weights(kernel, row, predecessors(row, _class_of(rest)))
+    stream = predecessors(row, TriangleClass.MT if gaps[0] < 0 else TriangleClass.DMT)
+    if kernel != "sc" and gaps[0] >= 0:  # MT rows have neither pairs nor sign changes
+        pairs = _pair_values(row) if kernel == "pair" else set()
+        stream = ((a, len(_pair_values(a) & pairs) if pairs else 0) for a, _ in stream)
     return tuple([(row[0] - a[0], _gaps(a), e & 1) for a, e in stream])
 
 
@@ -257,8 +241,8 @@ def _count(kernel, gaps):
     number of pair values the row shares with the row below, which dd and
     dd_bar share.  Every weight is 1 on MT rows, which have neither pairs nor
     sign changes.  A key of three or more entries with first gap
-    ``w = |k1 - k2|`` at most 1 streams its rows above from ``_rows_above``,
-    unchecked, as the DP built it from a checked row.
+    ``w = |k1 - k2|`` at most 1 sums its own rows above, read from
+    ``_above``.
 
     A key ``(g,)`` has g - 1 rows above, each a DMT newcomer, or one row (0)
     when g = 0, or 1 - g MT rows when g < 0: its count is ``1 - g`` under
@@ -271,7 +255,7 @@ def _count(kernel, gaps):
     outside them; the rest are the ``(k1 - 1,) + A``, that entry a newcomer.
     An MT count is that of ``(k1 + 1,) + R`` plus that of ``(k1,) + A`` for
     each A above R: the rows above that do not begin with k1 are those above
-    ``(k1 + 1,) + R``.  The A come from ``_rest_rows``.  By that step, and
+    ``(k1 + 1,) + R``.  The A come from ``_above``.  By that step, and
     by induction from the two-entry count, every kernel's count has degree at
     most n - 1 in k1 from w = 1 on (for ``sc`` Fischer 2006), so a gap wider
     than n is the Lagrange extrapolation from gaps 1..n over the same R,
@@ -286,24 +270,24 @@ def _count(kernel, gaps):
         return sum([(-1) ** (n - i) * math.comb(w - 1, i - 1) * math.comb(w - i - 1, n - i)
                     * _lookup(kernel, (step * i,) + rest) for i in range(1, n + 1)])
     if w < 2:
-        row, value = _bounded_row(gaps), 0
-        for above, e in _weights(kernel, row, _rows_above(row, _class_of(gaps))):
-            count = _lookup(kernel, _gaps(above))
-            value += -count if e & 1 else count
+        value = 0
+        for _, above, odd in _above(kernel, gaps):
+            count = _lookup(kernel, above)
+            value += -count if odd else count
         return value
     # a DMT row above puts a newcomer k1 - 1 in front, one more sign change
     base, flip = gap - (gap > 0), gap > 0 and kernel == "sc"
     value = _lookup(kernel, (gap - step,) + rest)
-    for drop, above, odd in _rest_rows(kernel, rest):
+    for drop, above, odd in _above(kernel, rest):
         count = _lookup(kernel, (base + drop,) + above)
         value += -count if odd != flip else count
     return value
 
 
 def clear_caches() -> None:
-    """Empty the DP memo and its rest rows."""
+    """Empty the DP memo and its rows above."""
     _count.cache_clear()
-    _rest_rows.cache_clear()
+    _above.cache_clear()
 
 
 def signed_count(bottom, cls: TriangleClass, statistic: str):

@@ -4,22 +4,19 @@ operators, refined ASM numbers, and the W/X difference numbers.
 
 alpha at strictly increasing arguments counts monotone triangles with that
 bottom row; at weakly decreasing arguments it equals the signed enumeration
-of decreasing monotone triangles.  Three independent evaluation strategies
-are provided and must agree wherever their domains overlap:
+of decreasing monotone triangles.  It is evaluated by the operator
+recursion and by one predecessor-row DP run on two row classes, which the
+recursion checks independently wherever their domains overlap:
 
 * ``OPERATOR_RECURSION`` applies the summation operator to alpha one size
   down (valid for any integer vector, exponential in size, guarded),
-* ``MONOTONE_DP`` counts monotone triangles by predecessor-row DP,
-* ``SIGNED_DMT_DP`` runs the sign-weighted predecessor DP over decreasing
-  monotone triangle rows.
+* ``MONOTONE_DP`` runs the DP over monotone triangle rows,
+* ``SIGNED_DMT_DP`` runs it, sign-weighted, over decreasing monotone
+  triangle rows.
 
-Both DP methods are the one DP of ``enumeration.signed_count``, entered
-through its private form that takes the row shape ``alpha`` has already
-classified, so a call classifies its row once.  The DP keys a row by its
-gaps, with its mirror image (-k_n, ..., -k_1), and a DMT row inside the DP
-by its rotation class too, by Fischer's cyclic shift; it takes whole rows,
-steps down a narrow first gap or extrapolates a wide one (``enumeration``'s
-``_count``), and raises ResourceLimitError past 2**20 rows above one row.
+Both DP methods are the one DP of ``enumeration.signed_count``, described
+there, entered through a private form that takes the row shape ``alpha``
+has already classified.
 The summation operator at a bound vector is a cached table of signed
 points, built by the chosen recursion from the tables of shorter vectors;
 applying it calls the function once per point.

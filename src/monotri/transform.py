@@ -8,8 +8,8 @@ up.  Monotone triangles with bottom row (1..n) correspond to n x n ASMs
 
 The structured subset S1 (every even row consists entirely of pairs) maps
 onto monotone triangles by collapsing each pair of an even row to a single
-entry and reversing the row; the odd rows of an S1 triangle are forced and
-are reconstructed here by interval collapse from the two adjacent even rows.
+entry and reversing the row; the odd rows of an S1 triangle are forced, and
+are rebuilt here by interleaving the two adjacent even rows.
 
 Every triangle argument is checked once, by ``_kind_params``: a valid
 triangle of the given kind on its standard bottom row, (1..n) or
@@ -20,7 +20,6 @@ matrix argument is checked against the one description of its class in
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from enum import Enum
 
@@ -118,21 +117,16 @@ def s1_to_mt(t: TriangularArray) -> TriangularArray:
 
 def mt_to_s1(t: TriangularArray) -> TriangularArray:
     """Inverse of ``s1_to_mt``: even row 2i doubles the reversed i-th row of
-    the monotone triangle; each odd-row entry is forced to the single value
-    allowed by the diagonal inequalities against both neighbouring even rows."""
+    the monotone triangle.  The odd row between the even rows
+    (b1, b1, ..., bi, bi) and (a1, a1, ..., a(i+1), a(i+1)) is forced by the
+    diagonal inequalities to interleave them: (a1, b1, a2, ..., bi, a(i+1))."""
     n = _kind_params(t, BijectionKind.MT_ASM)
-    even_rows = [tuple(v for x in reversed(row) for v in (x, x)) for row in t.rows]
-    rows = []
-    for i, below in enumerate(even_rows):
-        above = even_rows[i - 1] if i > 0 else ()
-        # entry j lies between below[j+1] and below[j], and between above[j]
-        # and above[j-1] where those exist
-        lo = tuple(max(b, a) for b, a in zip(below[1:], above + (-math.inf,)))
-        hi = tuple(min(b, a) for b, a in zip(below, (math.inf,) + above))
-        for j, (x, y) in enumerate(zip(lo, hi)):
-            if x != y:
-                raise AmbiguityError(f"odd row {2 * i + 1}, entry {j + 1} not forced: [{x}, {y}]")
-        rows += [lo, below]
+    rows, above = [], ()
+    for row in t.rows:
+        below = row[::-1]
+        rows += [below[:1] + tuple(v for b, a in zip(above, below[1:]) for v in (b, a)),
+                 tuple(v for x in below for v in (x, x))]
+        above = below
     out = TriangularArray(tuple(rows))
     if not (validate_dmt(out) and out.bottom == _dmt_bottom(n) and _even_rows_paired(out)):
         raise AmbiguityError("forced odd rows did not produce an S1 triangle")

@@ -493,43 +493,43 @@ def test_staircase_values():
 def test_dp_state_counts(monkeypatch):
     # pins the DP's state space: one memo entry per distinct row up to
     # translation and mirroring, and under sc (the staircase) up to rotation
-    # too.  The transitions are the rows a state sums: its own rows above, or
-    # those of its rest read from the rest memo.  The rows streamed are those
-    # the kernel made, once per rest of a first-gap chain
-    streamed, summed = [], []
-    kernel = enumeration._rows_above
-    rest_rows = enumeration._rest_rows
+    # too.  The transitions are the rows a state sums, its own rows above or
+    # its rest's, all read from the rows-above memo.  The rows streamed are
+    # those predecessors made to fill it, and the kernel makes no other row
+    streamed, summed, made = [], [], []
+    checked, kernel, above = enumeration.predecessors, enumeration._rows_above, enumeration._above
 
     def streaming(k, cls):
-        for item in kernel(k, cls):
+        for item in checked(k, cls):
             streamed.append(item)
             yield item
 
-    def summing(k, cls):
-        for item in streaming(k, cls):
-            summed.append(item)
+    def making(k, cls):
+        for item in kernel(k, cls):
+            made.append(item)
             yield item
 
-    def reading_rest(*key):
-        rows = rest_rows(*key)
+    def reading(*key):
+        rows = above(*key)
         summed.extend(rows)
         return rows
 
-    reading_rest.cache_clear = rest_rows.cache_clear
-    # the rest memo fills through predecessors; a whole-row state calls the kernel
+    reading.cache_clear = above.cache_clear
     monkeypatch.setattr(enumeration, "predecessors", streaming)
-    monkeypatch.setattr(enumeration, "_rows_above", summing)
-    monkeypatch.setattr(enumeration, "_rest_rows", reading_rest)
+    monkeypatch.setattr(enumeration, "_rows_above", making)
+    monkeypatch.setattr(enumeration, "_above", reading)
     try:
         for row, states, transitions, rows_streamed in (
-                (tuple(range(11, 0, -1)), 140, 496, 496),
-                ((0, 3, 5, 8, 10, 13), 325, 5423, 2961)):
+                (tuple(range(11, 0, -1)), 140, 496, 416),
+                ((0, 3, 5, 8, 10, 13), 325, 5423, 2902)):
             evaluate.clear_caches()
             streamed.clear()
             summed.clear()
+            made.clear()
             alpha(row)
             assert enumeration._count.cache_info().currsize == states, row
             assert (len(summed), len(streamed)) == (transitions, rows_streamed), row
+            assert made == streamed, row
     finally:
         evaluate.clear_caches()
 
@@ -605,17 +605,17 @@ def test_cache_limit_keeps_results_correct(monkeypatch):
     tiny_count = functools.lru_cache(maxsize=2)(enumeration._count.__wrapped__)
     tiny_op = functools.lru_cache(maxsize=2)(evaluate._alpha_op.__wrapped__)
     tiny_terms = functools.lru_cache(maxsize=2)(evaluate._op_terms.__wrapped__)
-    tiny_rest = functools.lru_cache(maxsize=2)(enumeration._rest_rows.__wrapped__)
+    tiny_above = functools.lru_cache(maxsize=2)(enumeration._above.__wrapped__)
     monkeypatch.setattr(enumeration, "_count", tiny_count)
-    monkeypatch.setattr(enumeration, "_rest_rows", tiny_rest)
+    monkeypatch.setattr(enumeration, "_above", tiny_above)
     monkeypatch.setattr(evaluate, "_alpha_op", tiny_op)
     monkeypatch.setattr(evaluate, "_op_terms", tiny_terms)
     assert alpha((2, 4, 5, 8, 9), AlphaMethod.MONOTONE_DP) == 16939
     assert alpha((6, 3, 3, 2, 1), AlphaMethod.SIGNED_DMT_DP) == 3
     assert alpha((2, 4, 5, 8, 9), AlphaMethod.OPERATOR_RECURSION) == 16939
-    # a W-row steps along its first gap over rests read from the rest memo
+    # a W-row steps along its first gap over rests read from the rows-above memo
     assert alpha((7, 4, 4, 3, 3, 2, 2, 1, 1)) == refined_asm(5, 3) == 135
-    assert 0 < tiny_rest.cache_info().currsize <= 2
+    assert 0 < tiny_above.cache_info().currsize <= 2
     assert 0 < tiny_count.cache_info().currsize <= 2
     assert tiny_op.cache_info().currsize <= 2
     assert 0 < tiny_terms.cache_info().currsize <= 2

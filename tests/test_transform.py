@@ -187,7 +187,7 @@ def test_s1_membership_count():
 def test_s1_mt_roundtrip():
     t = TriangularArray(((1,), (1, 1)))
     assert s1_to_mt(t) == TriangularArray(((1,),))
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         mts = set()
         for t in enum_triangles(dmt_bottom(n), TriangleClass.DMT):
             if not is_s1(t):
