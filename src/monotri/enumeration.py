@@ -10,10 +10,12 @@ extends in place while its next entry has one value, and is pushed only
 where the row branches.  ``predecessors`` checks its row and returns that
 stream; ``enum_triangles`` stacks rows from it.
 
-``signed_count`` runs one DP over distinct rows of either class, a bounded
-LRU cache keyed by the kernel and ``_key``: the gap word or its reverse
-(the mirror image), whichever puts the wider end gap in front; inside the
-DP, ``_lookup`` keys a DMT row under ``sc`` by its rotation class.
+``signed_count`` runs one DP over distinct rows of either class and reads
+every count, its own row's too, through one door, ``_lookup``: rows of one
+or two entries have a closed form, longer ones are read from ``_count``, a
+bounded LRU cache keyed by the kernel and ``_key``: the gap word or its
+reverse (the mirror image), whichever puts the wider end gap in front, or
+for a DMT row under ``sc`` its rotation class.
 ``_count(kernel, gaps)`` counts a key by the rules in its docstring: from
 its rows above, from the rows above its rest, or from narrower first gaps,
 so no count walks an end gap wider than the row.  Rows above reach the DP
@@ -209,15 +211,21 @@ def _above(kernel, gaps):
 
 
 def _lookup(kernel, gaps):
-    """The count of gap word ``gaps``, from ``_count`` at its key.  Under
-    ``sc`` (alpha at a DMT row) alpha(n; k) = (-1)^(n-1) alpha(n; k2..kn,
-    k1 - n) (Fischer 2007): at n >= 3 and spread <= n, leaving one gap of the
-    cycle ``gaps + (n - spread,)`` out gives a row.  Two adjacent zeros in it
-    give one with a triple, so 0; else the key is the largest word either way
-    of a cut at the widest gap, entry j, weighed by (-1)^((n-1)(j+1))."""
+    """The count of gap word ``gaps``, the only door to ``_count``.  A word
+    of no gaps counts 1.  A word ``(g,)`` has g - 1 rows above, each a DMT
+    newcomer, or one row (0) when g = 0, or 1 - g MT rows when g < 0: it
+    counts ``1 - g`` under ``sc`` and ``|g - 1|`` else.  A longer word is
+    read from ``_count`` at its ``_key``, but under ``sc`` (alpha at a DMT
+    row) alpha(n; k) = (-1)^(n-1) alpha(n; k2..kn, k1 - n) (Fischer 2007):
+    at spread <= n, leaving one gap of the cycle ``gaps + (n - spread,)`` out
+    gives a row.  Two adjacent zeros in it give one with a triple, so 0; else
+    the key is the largest word either way of a cut at the widest gap, entry
+    j, weighed by (-1)^((n-1)(j+1))."""
     n = len(gaps) + 1
+    if n < 3:
+        return 1 if n == 1 else 1 - gaps[0] if kernel == "sc" else abs(gaps[0] - 1)
     # where the spare gap alone is the widest, the cut there is the row itself
-    if (kernel != "sc" or n < 3 or gaps[0] < 0
+    if (kernel != "sc" or gaps[0] < 0
             or not 0 <= (spare := n - sum(gaps)) <= (top := max(gaps))):
         return _count(kernel, _key(gaps))
     if not spare and not (gaps[0] and gaps[-1]):
@@ -235,35 +243,31 @@ def _lookup(kernel, gaps):
 
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def _count(kernel, gaps):
-    """DP over distinct rows of either class; ``gaps`` is a key of ``_key``
-    or ``_lookup``, and every row it sums is read through ``_lookup`` and
-    weighed by ``kernel``: ``plain`` 1, ``sc`` (-1)^sc, ``pair`` (-1) to the
-    number of pair values the row shares with the row below, which dd and
-    dd_bar share.  Every weight is 1 on MT rows, which have neither pairs nor
-    sign changes.  A key of three or more entries with first gap
+    """DP over distinct rows of either class; ``gaps`` is a key of three or
+    more entries, made and read by ``_lookup`` alone, and every row it sums
+    is read through ``_lookup`` and weighed by ``kernel``: ``plain`` 1,
+    ``sc`` (-1)^sc, ``pair`` (-1) to the number of pair values the row shares
+    with the row below, which dd and dd_bar share.  Every weight is 1 on MT
+    rows, which have neither pairs nor sign changes.  A key with first gap
     ``w = |k1 - k2|`` at most 1 sums its own rows above, read from
     ``_above``.
 
-    A key ``(g,)`` has g - 1 rows above, each a DMT newcomer, or one row (0)
-    when g = 0, or 1 - g MT rows when g < 0: its count is ``1 - g`` under
-    ``sc`` and ``|g - 1|`` else.  A key ``(k1,) + R`` of n >= 3 entries with
-    w from 2 to n steps along that gap.  A DMT count is that of
-    ``(k1 - 1,) + R`` plus, for each ``(A, sc)`` above R, that of
-    ``(k1 - 1,) + A`` weighed as above with one more sign change under
-    ``sc``: the rows above with first entry at most k1 - 2 are those above
-    ``(k1 - 1,) + R`` with the same weights, as k1 and k1 - 1 are singletons
-    outside them; the rest are the ``(k1 - 1,) + A``, that entry a newcomer.
-    An MT count is that of ``(k1 + 1,) + R`` plus that of ``(k1,) + A`` for
-    each A above R: the rows above that do not begin with k1 are those above
-    ``(k1 + 1,) + R``.  The A come from ``_above``.  By that step, and
-    by induction from the two-entry count, every kernel's count has degree at
-    most n - 1 in k1 from w = 1 on (for ``sc`` Fischer 2006), so a gap wider
-    than n is the Lagrange extrapolation from gaps 1..n over the same R,
-    taken in increasing gap so each step finds the one below it cached; as
-    the wider end gap is in front, the recursion is a few rows deep."""
+    A key ``(k1,) + R`` of n entries with w from 2 to n steps along that
+    gap.  A DMT count is that of ``(k1 - 1,) + R`` plus, for each ``(A, sc)``
+    above R, that of ``(k1 - 1,) + A`` weighed as above with one more sign
+    change under ``sc``: the rows above with first entry at most k1 - 2 are
+    those above ``(k1 - 1,) + R`` with the same weights, as k1 and k1 - 1 are
+    singletons outside them; the rest are the ``(k1 - 1,) + A``, that entry a
+    newcomer.  An MT count is that of ``(k1 + 1,) + R`` plus that of
+    ``(k1,) + A`` for each A above R: the rows above that do not begin with
+    k1 are those above ``(k1 + 1,) + R``.  The A come from ``_above``.  By
+    that step, and by induction from ``_lookup``'s two-entry count, every
+    kernel's count has degree at most n - 1 in k1 from w = 1 on (for ``sc``
+    Fischer 2006), so a gap wider than n is the Lagrange extrapolation from
+    gaps 1..n over the same R, taken in increasing gap so each step finds the
+    one below it cached; as the wider end gap is in front, the recursion is a
+    few rows deep."""
     n, gap, rest = len(gaps) + 1, gaps[0], gaps[1:]
-    if n == 2:
-        return 1 - gap if kernel == "sc" else abs(gap - 1)
     w, step = abs(gap), 1 if gap > 0 else -1  # k1 - step narrows the first gap
     if w > n:
         # L_i(w) over the nodes 1..n, with its denominator folded into the combs
@@ -306,15 +310,11 @@ def _signed_count(bottom, cls, statistic, shape):
     bottom = _check_bottom(bottom, cls, shape)
     if statistic not in STATISTICS:
         raise InvalidInputError(f"unknown statistic {statistic!r}")
-    n = len(bottom)
-    if n == 1:
-        value = 1
-    else:
-        value = _count("pair" if statistic.startswith("dd") else statistic, _key(_gaps(bottom)))
+    value = _lookup("pair" if statistic.startswith("dd") else statistic, _gaps(bottom))
     if statistic != "dd_with_prefactor":
         return value
-    bottom_pairs = sum(1 for a, b in zip(bottom, bottom[1:]) if a == b)
-    exponent = n * (n - 1) // 2 + bottom_pairs
+    pairs = sum(1 for a, b in zip(bottom, bottom[1:]) if a == b)
+    exponent = math.comb(len(bottom), 2) + pairs
     return -value if exponent % 2 else value
 
 

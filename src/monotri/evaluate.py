@@ -25,8 +25,7 @@ start at 0, so it never reads the DP's entries and stays an independent
 check.  Row and bound entries, sizes and indices must be integers by
 ``core``'s rule.
 
-All arithmetic is exact; rationals appear only inside ``refined_asm`` and
-must cancel.
+All arithmetic is exact and in integers.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ import functools
 import math
 from collections import Counter
 from enum import Enum
-from fractions import Fraction
 
 from . import enumeration
 from .core import (
@@ -206,16 +204,18 @@ def forward_difference_power(g, i: int, x: int) -> int:
 
 def refined_asm(n: int, i: int) -> int:
     """Number of size-n ASMs whose first row has its unique 1 in column i,
-    by the closed product formula (rational intermediates must cancel)."""
+    by the closed product formula: one integer division, which must be exact."""
     _check_size(n, "n", 1)
     _check_size(i, "i", 1, n)
-    value = Fraction(binomial(n + i - 2, n - 1))
-    value *= Fraction(math.factorial(2 * n - i - 1), math.factorial(n - i))
+    num = binomial(n + i - 2, n - 1) * math.factorial(2 * n - i - 1)
+    den = math.factorial(n - i)
     for j in range(n - 1):
-        value *= Fraction(math.factorial(3 * j + 1), math.factorial(n + j))
-    if value.denominator != 1:
-        raise InternalError(f"refined ASM count A({n},{i}) did not cancel: {value}")
-    return int(value)
+        num *= math.factorial(3 * j + 1)
+        den *= math.factorial(n + j)
+    value, remainder = divmod(num, den)
+    if remainder:
+        raise InternalError(f"refined ASM count A({n},{i}) did not cancel: {num}/{den}")
+    return value
 
 
 def W_number(n: int, i: int) -> int:

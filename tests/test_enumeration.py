@@ -368,13 +368,15 @@ def test_rotated_sc_count():
     # under sc a DMT row of spread <= n is looked up by its rotation class,
     # alpha(n; k1..kn) = (-1)^(n-1) alpha(n; k2..kn, k1-n): every DMT row of
     # 3..7 entries from 0..7, against the oracle that keys nothing.  Rows of
-    # spread n with a pair at either end are 0 by the zero rule
+    # spread n with a pair at either end are 0 by the zero rule.  The public
+    # entry reads its own row through the same lookup, so it rotates too
     count = stream_dp(TriangleClass.DMT, "sc")
     rows = [k for m in range(3, 8) for k in combinations_with_replacement(range(7, -1, -1), m)
             if max(map(k.count, k)) <= 2]
     zero = 0
     for k in rows:
         assert enumeration._lookup("sc", gap_word(k)) == count(k), k
+        assert signed_count(k, TriangleClass.DMT, "sc") == count(k), k
         zero += k[0] - k[-1] == len(k) and (k[0] == k[1] or k[-2] == k[-1])
     assert (len(rows), zero) == (2682, 490)
 

@@ -520,8 +520,8 @@ def test_dp_state_counts(monkeypatch):
     monkeypatch.setattr(enumeration, "_above", reading)
     try:
         for row, states, transitions, rows_streamed in (
-                (tuple(range(11, 0, -1)), 140, 496, 416),
-                ((0, 3, 5, 8, 10, 13), 325, 5423, 2902)):
+                (tuple(range(11, 0, -1)), 139, 496, 416),
+                ((0, 3, 5, 8, 10, 13), 319, 5423, 2902)):
             evaluate.clear_caches()
             streamed.clear()
             summed.clear()
@@ -530,6 +530,19 @@ def test_dp_state_counts(monkeypatch):
             assert enumeration._count.cache_info().currsize == states, row
             assert (len(summed), len(streamed)) == (transitions, rows_streamed), row
             assert made == streamed, row
+    finally:
+        evaluate.clear_caches()
+
+
+def test_w_rows_past_the_last_difference_make_no_state():
+    # the W row (2n, n-1, n-1, ..., 1, 1) has spread 2n - 1, its length, and
+    # a pair at its end, so the rotation's zero rule answers 0 at the public
+    # entry before the DP makes a state
+    try:
+        for n in range(3, 8):
+            evaluate.clear_caches()
+            assert alpha((2 * n,) + dmt_bottom(n - 1)) == 0, n
+            assert enumeration._count.cache_info().currsize == 0, n
     finally:
         evaluate.clear_caches()
 

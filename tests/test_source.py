@@ -85,6 +85,23 @@ def test_dp_tuples_are_built_from_lists():
     assert not found, found
 
 
+def test_dp_memo_is_entered_only_through_lookup():
+    # _lookup is the DP's one door: it owns the closed forms of short rows and
+    # the keys, so _count and _key are called from nowhere else
+    inside, outside = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        door = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_lookup"]
+        in_door = {id(node) for func in door for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) in ("_count", "_key"):
+                (inside if id(node) in in_door else outside).append(
+                    f"{path.name}:{node.lineno}")
+    assert inside and not outside, outside
+
+
 PERFBENCH = SRC.parents[1] / "perfbench"
 
 
