@@ -11,16 +11,17 @@ where the row branches.  ``predecessors`` checks its row and returns that
 stream; ``enum_triangles`` stacks rows from it.
 
 ``signed_count`` runs one DP over distinct rows of either class and reads
-every count, its own row's too, through one door, ``_lookup``: rows of one
-or two entries have a closed form, longer ones are read from ``_count``, a
-bounded LRU cache keyed by the kernel and ``_key``: the gap word or its
-reverse (the mirror image), whichever puts the wider end gap in front, or
-for a DMT row under ``sc`` its rotation class.
+every count, its own row's too, through one door, ``_lookup``: a bounded
+LRU cache keyed by the kernel and the gap word as read.  Rows of one or two
+entries have a closed form; a longer word is canonicalised once, to
+``_key``: the word or its reverse (the mirror image), whichever puts the
+wider end gap in front, or for a DMT row under ``sc`` its rotation class.
 ``_count(kernel, gaps)`` counts a key by the rules in its docstring: from
-its rows above, from the rows above its rest, or from narrower first gaps,
-so no count walks an end gap wider than the row.  Rows above reach the DP
-only through ``_above``, a small LRU cache filled from ``predecessors``:
-bounded by the gaps before any is made, checked, and kept as gap words.
+the rows above its rest or its rest's rest, or from narrower first gaps,
+so no count streams its own rows above or walks an end gap wider than the
+row.  Rows above reach the DP only through ``_above``, a small LRU cache
+filled from ``predecessors``: bounded by the gaps before any is made,
+checked, and kept as gap words.
 The ``enum_*`` functions check their arguments when called and return the
 stream.
 
@@ -60,10 +61,10 @@ from .errors import InternalError, InvalidInputError, ResourceLimitError
 STATISTICS = ("plain", "sc", "dd_with_prefactor", "dd_bar")
 
 _MEMO_ENTRIES = 1 << 20
-# rows held by _above: on a cold pass over the alpha-cold rows of perfbench a
-# larger bound gains no hit and 64 lose about half of them, and an unbounded
-# table more than doubles the peak memory of staircase n = 17 and nearly
-# triples that of alpha(9; 2, 4, ..., 18)
+# rows held by _above, the rows above rests: on a cold pass over the
+# alpha-cold rows of perfbench a larger bound gains no hit and 64 lose about
+# a third of them, and an unbounded table raises the peak memory of staircase
+# n = 17 from 34 to 59 MB and of alpha(9; 2, 4, ..., 18) from 33 to 80 MB
 _ABOVE_ENTRIES = 256
 _ABOVE_LIMIT = 1 << 20  # rows above one row that the DP may stream or keep
 
@@ -194,7 +195,8 @@ def _key(gaps):
 def _above(kernel, gaps):
     """Each row A above the row K with gap word ``gaps`` that ends in 0 as
     ``(K[0] - A[0], A's gaps, parity of A's weight under kernel)``: every row
-    the DP sums, a key's own or its rest's.  They come from ``predecessors``,
+    the DP sums is made from these, the rows above a key's rest or its
+    rest's rest, never a key's own.  They come from ``predecessors``,
     called through the module name, so each is checked, once the product of
     ``|g| + 1`` (<= 2 ** spread) bounds them by ``_ABOVE_LIMIT``.  The tuple
     is copied from a list: one built from the stream grows by reallocation,
@@ -210,15 +212,18 @@ def _above(kernel, gaps):
     return tuple([(row[0] - a[0], _gaps(a), e & 1) for a, e in stream])
 
 
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def _lookup(kernel, gaps):
-    """The count of gap word ``gaps``, the only door to ``_count``.  A word
-    of no gaps counts 1.  A word ``(g,)`` has g - 1 rows above, each a DMT
-    newcomer, or one row (0) when g = 0, or 1 - g MT rows when g < 0: it
-    counts ``1 - g`` under ``sc`` and ``|g - 1|`` else.  A longer word is
-    read from ``_count`` at its ``_key``, but under ``sc`` (alpha at a DMT
-    row) alpha(n; k) = (-1)^(n-1) alpha(n; k2..kn, k1 - n) (Fischer 2007):
-    at spread <= n, leaving one gap of the cycle ``gaps + (n - spread,)`` out
-    gives a row.  Two adjacent zeros in it give one with a triple, so 0; else
+    """The count of gap word ``gaps``, the DP's memo, keyed by the word as
+    read, and the only door to ``_count``.  A word of no gaps counts 1.  A
+    word ``(g,)`` has g - 1 rows above, each a DMT newcomer, or one row (0)
+    when g = 0, or 1 - g MT rows when g < 0: it counts ``1 - g`` under ``sc``
+    and ``|g - 1|`` else.  A longer word is canonicalised once, on a miss:
+    a key is counted by ``_count``, any other word is read through
+    ``_lookup`` at its key.  The key is ``_key``'s, but under ``sc`` (alpha
+    at a DMT row) alpha(n; k) = (-1)^(n-1) alpha(n; k2..kn, k1 - n)
+    (Fischer 2007): at spread <= n, leaving one gap of the cycle
+    ``gaps + (n - spread,)`` out gives a row.  Two adjacent zeros in it give one with a triple, so 0; else
     the key is the largest word either way of a cut at the widest gap, entry
     j, weighed by (-1)^((n-1)(j+1))."""
     n = len(gaps) + 1
@@ -227,7 +232,8 @@ def _lookup(kernel, gaps):
     # where the spare gap alone is the widest, the cut there is the row itself
     if (kernel != "sc" or gaps[0] < 0
             or not 0 <= (spare := n - sum(gaps)) <= (top := max(gaps))):
-        return _count(kernel, _key(gaps))
+        key = _key(gaps)
+        return _count(kernel, gaps) if key == gaps else _lookup(kernel, key)
     if not spare and not (gaps[0] and gaps[-1]):
         return 0
     cycle = (gaps + (spare,)) * 2  # the cut at j is cycle[j + 1:j + n]
@@ -237,20 +243,28 @@ def _lookup(kernel, gaps):
         j = cycle.index(top, j + 1)
         if (word := max(cycle[j + 1:j + n], cycle[j + n - 1:j:-1])) > key:
             key, cut = word, j
-    value = _count(kernel, key)
+    value = _count(kernel, gaps) if key == gaps else _lookup(kernel, key)
     return -value if n % 2 == 0 == cut % 2 else value
 
 
-@functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def _count(kernel, gaps):
     """DP over distinct rows of either class; ``gaps`` is a key of three or
     more entries, made and read by ``_lookup`` alone, and every row it sums
     is read through ``_lookup`` and weighed by ``kernel``: ``plain`` 1,
     ``sc`` (-1)^sc, ``pair`` (-1) to the number of pair values the row shares
     with the row below, which dd and dd_bar share.  Every weight is 1 on MT
-    rows, which have neither pairs nor sign changes.  A key with first gap
-    ``w = |k1 - k2|`` at most 1 sums its own rows above, read from
-    ``_above``.
+    rows, which have neither pairs nor sign changes.
+
+    A key with first gap ``w = |k1 - k2|`` at most 1 sums its rows above,
+    made from those above its rest R or its rest's rest R'', so it never
+    streams its own.  An MT key ``(k1, k1 + 1) + R''``: for each A above R,
+    ``(k1,) + A``, and ``(k1 + 1,) + A`` when A begins above k1 + 1.  A DMT
+    key ``(x + w, x) + R''``: its rows above that hold x twice are the
+    ``(x, x) + B`` for B above R'', with one more pair, shared with the row
+    below if it holds x twice too.  At w = 1 there are no others: the
+    singleton x + 1 stays out, so a row above begins with x, and so does its
+    next entry, forced by a pair x or to pair a singleton x.  At w = 0 the
+    others are the ``(x,) + B`` for B above R, with B's weight.
 
     A key ``(k1,) + R`` of n entries with w from 2 to n steps along that
     gap.  A DMT count is that of ``(k1 - 1,) + R`` plus, for each ``(A, sc)``
@@ -273,11 +287,27 @@ def _count(kernel, gaps):
         # L_i(w) over the nodes 1..n, with its denominator folded into the combs
         return sum([(-1) ** (n - i) * math.comb(w - 1, i - 1) * math.comb(w - i - 1, n - i)
                     * _lookup(kernel, (step * i,) + rest) for i in range(1, n + 1)])
-    if w < 2:
+    if gap == -1:
         value = 0
-        for _, above, odd in _above(kernel, gaps):
-            count = _lookup(kernel, above)
-            value += -count if odd else count
+        for drop, above, _ in _above(kernel, rest):
+            value += _lookup(kernel, (gap + drop,) + above)
+            if drop < 0:
+                value += _lookup(kernel, (drop,) + above)
+        return value
+    if w < 2:
+        # (x, x) + B: one more pair, shared if the row below has x twice
+        flip = kernel == "sc" or kernel == "pair" and 0 in gaps[:2]
+        if n == 3:  # B is empty: the one row (x, x), word (0,), counts 1
+            value = -1 if flip else 1
+        else:
+            value = 0
+            for drop, above, odd in _above(kernel, gaps[2:]):
+                count = _lookup(kernel, (0, rest[0] + drop) + above)
+                value += -count if odd != flip else count
+        if gap == 0:
+            for drop, above, odd in _above(kernel, rest):
+                count = _lookup(kernel, (drop,) + above)
+                value += -count if odd else count
         return value
     # a DMT row above puts a newcomer k1 - 1 in front, one more sign change
     base, flip = gap - (gap > 0), gap > 0 and kernel == "sc"
@@ -290,7 +320,7 @@ def _count(kernel, gaps):
 
 def clear_caches() -> None:
     """Empty the DP memo and its rows above."""
-    _count.cache_clear()
+    _lookup.cache_clear()
     _above.cache_clear()
 
 

@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import random
 import subprocess
@@ -32,7 +33,7 @@ from monotri import (
     wni_object_sign,
 )
 from monotri import enumeration
-from monotri.enumeration import WniObject, is_valid_wni
+from monotri.enumeration import STATISTICS, WniObject, is_valid_wni
 from monotri.machines import (
     ASM_WORD,
     MACHINES,
@@ -379,6 +380,39 @@ def test_rotated_sc_count():
         assert signed_count(k, TriangleClass.DMT, "sc") == count(k), k
         zero += k[0] - k[-1] == len(k) and (k[0] == k[1] or k[-2] == k[-1])
     assert (len(rows), zero) == (2682, 490)
+
+
+def test_narrow_first_gap_counts_on_cold_memo():
+    # a row of first gap 0 or 1 (DMT) or -1 (MT) is counted from the rows
+    # above its rest, or its rest's rest, never from its own: every such DMT
+    # row of 3..8 entries from 1..7 under each statistic and every such MT
+    # row of 3..6 entries from 0..9, from an empty memo, through the public
+    # entry and by _count at the row's own word, against the oracle that
+    # streams whole rows.  They include 3-entry keys and rows with k2 = k3
+    dmt = [k for m in range(3, 9) for k in combinations_with_replacement(range(7, 0, -1), m)
+           if max(map(k.count, k)) <= 2 and k[0] - k[1] < 2]
+    mt = [k[::-1] for m in range(3, 7) for k in combinations_with_replacement(range(9, -1, -1), m)
+          if len(set(k)) == m and k[-2] - k[-1] == 1]
+    assert (len(dmt), len(mt)) == (1290, 372)
+    assert sum(len(k) == 3 for k in dmt + mt) == 78
+    assert sum(k[1] == k[2] for k in dmt) == 252
+    kernels = {"plain": "plain", "sc": "sc", "dd_with_prefactor": "pair", "dd_bar": "pair"}
+    passes = [(TriangleClass.DMT, statistic, dmt) for statistic in STATISTICS]
+    passes += [(TriangleClass.MT, statistic, mt) for statistic in ("plain", "sc")]
+    try:
+        for cls, statistic, rows in passes:
+            kernel = kernels[statistic]
+            count = stream_dp(cls, kernel)
+            enumeration.clear_caches()
+            for k in rows:
+                want = count(k)
+                assert enumeration._count(kernel, gap_word(k)) == want, (k, statistic)
+                if statistic == "dd_with_prefactor" and (
+                        math.comb(len(k), 2) + sum(a == b for a, b in zip(k, k[1:]))) % 2:
+                    want = -want
+                assert signed_count(k, cls, statistic) == want, (k, statistic)
+    finally:
+        enumeration.clear_caches()
 
 
 def lagrange_at(points, x):

@@ -401,9 +401,9 @@ def test_operator_recursion_never_reads_dp_entries(monkeypatch):
             want = alpha(row, AlphaMethod.OPERATOR_RECURSION)
             evaluate.clear_caches()
             alpha(row, dp)
-            warm = enumeration._count
+            warm = enumeration._lookup
             # every DP entry now reads one too many
-            monkeypatch.setattr(enumeration, "_count",
+            monkeypatch.setattr(enumeration, "_lookup",
                                 functools.lru_cache(maxsize=None)(lambda *a: warm(*a) + 1))
             assert alpha(row, dp) == want + 1
             assert alpha(row, AlphaMethod.OPERATOR_RECURSION) == want
@@ -490,14 +490,28 @@ def test_staircase_values():
         assert alpha(tuple(range(n, 0, -1))) == 0
 
 
+def counting_states(monkeypatch):
+    """The keys ``_count`` counts, in order, once ``_count`` is patched to
+    record them: one per DP state, as ``_lookup`` holds each count."""
+    states, count = [], enumeration._count
+
+    def counting(*key):
+        states.append(key)
+        return count(*key)
+
+    monkeypatch.setattr(enumeration, "_count", counting)
+    return states
+
+
 def test_dp_state_counts(monkeypatch):
-    # pins the DP's state space: one memo entry per distinct row up to
+    # pins the DP's state space: one count per distinct row up to
     # translation and mirroring, and under sc (the staircase) up to rotation
-    # too.  The transitions are the rows a state sums, its own rows above or
-    # its rest's, all read from the rows-above memo.  The rows streamed are
+    # too.  The transitions are the rows a state sums, all above its rest or
+    # the rest of that, read from the rows-above memo.  The rows streamed are
     # those predecessors made to fill it, and the kernel makes no other row
     streamed, summed, made = [], [], []
     checked, kernel, above = enumeration.predecessors, enumeration._rows_above, enumeration._above
+    states = counting_states(monkeypatch)
 
     def streaming(k, cls):
         for item in checked(k, cls):
@@ -519,42 +533,75 @@ def test_dp_state_counts(monkeypatch):
     monkeypatch.setattr(enumeration, "_rows_above", making)
     monkeypatch.setattr(enumeration, "_above", reading)
     try:
-        for row, states, transitions, rows_streamed in (
-                (tuple(range(11, 0, -1)), 139, 496, 416),
-                ((0, 3, 5, 8, 10, 13), 319, 5423, 2902)):
+        for row, keys, transitions, rows_streamed in (
+                (tuple(range(11, 0, -1)), 139, 494, 312),
+                ((0, 3, 5, 8, 10, 13), 319, 5201, 2445)):
             evaluate.clear_caches()
-            streamed.clear()
-            summed.clear()
-            made.clear()
+            for seen in (states, streamed, summed, made):
+                seen.clear()
             alpha(row)
-            assert enumeration._count.cache_info().currsize == states, row
+            assert len(states) == len(set(states)) == keys, row
             assert (len(summed), len(streamed)) == (transitions, rows_streamed), row
             assert made == streamed, row
     finally:
         evaluate.clear_caches()
 
 
-def test_w_rows_past_the_last_difference_make_no_state():
-    # the W row (2n, n-1, n-1, ..., 1, 1) has spread 2n - 1, its length, and
-    # a pair at its end, so the rotation's zero rule answers 0 at the public
-    # entry before the DP makes a state
+def test_no_state_streams_its_own_rows_above(monkeypatch):
+    # a state sums rows above its rest, or above its rest's rest, never its
+    # own rows above: each would be read once, as the memo holds the state
+    counting, count, above = [], enumeration._count, enumeration._above
+
+    def stacking(kernel, gaps):
+        counting.append(gaps)
+        try:
+            return count(kernel, gaps)
+        finally:
+            counting.pop()
+
+    def reading(kernel, gaps):
+        assert gaps != counting[-1], gaps
+        return above(kernel, gaps)
+
+    reading.cache_clear = above.cache_clear
+    monkeypatch.setattr(enumeration, "_count", stacking)
+    monkeypatch.setattr(enumeration, "_above", reading)
     try:
-        for n in range(3, 8):
+        for row in ((0, 3, 5, 8, 10, 13), mt_bottom(6)):
             evaluate.clear_caches()
-            assert alpha((2 * n,) + dmt_bottom(n - 1)) == 0, n
-            assert enumeration._count.cache_info().currsize == 0, n
+            alpha(row)
+        for row in (tuple(range(11, 0, -1)), dmt_bottom(5), (7, 4, 4, 3, 3, 2, 2, 1, 1)):
+            for statistic in ("plain", "sc", "dd_bar"):
+                evaluate.clear_caches()
+                enumeration.signed_count(row, enumeration.TriangleClass.DMT, statistic)
     finally:
         evaluate.clear_caches()
 
 
-def test_wide_first_gap_states_do_not_grow_with_the_gap():
+def test_w_rows_past_the_last_difference_make_no_state(monkeypatch):
+    # the W row (2n, n-1, n-1, ..., 1, 1) has spread 2n - 1, its length, and
+    # a pair at its end, so the rotation's zero rule answers 0 at the public
+    # entry before the DP makes a state
+    states = counting_states(monkeypatch)
+    try:
+        for n in range(3, 8):
+            evaluate.clear_caches()
+            assert alpha((2 * n,) + dmt_bottom(n - 1)) == 0, n
+            assert not states, n
+    finally:
+        evaluate.clear_caches()
+
+
+def test_wide_first_gap_states_do_not_grow_with_the_gap(monkeypatch):
     # a first gap wider than the row is extrapolated from the n narrowest
     # gaps over the same rest, so the states are those of the narrow rows
+    states = counting_states(monkeypatch)
     try:
         for row in ((5000, 3, 3, 2, 2, 1, 1), (-5000, 0, 1, 2, 3)):
             evaluate.clear_caches()
+            states.clear()
             alpha(row)
-            assert enumeration._count.cache_info().currsize <= 100, row
+            assert len(states) <= 100, row
     finally:
         evaluate.clear_caches()
 
@@ -615,11 +662,11 @@ def test_conjecture_at_m_8():
 
 
 def test_cache_limit_keeps_results_correct(monkeypatch):
-    tiny_count = functools.lru_cache(maxsize=2)(enumeration._count.__wrapped__)
+    tiny_lookup = functools.lru_cache(maxsize=2)(enumeration._lookup.__wrapped__)
     tiny_op = functools.lru_cache(maxsize=2)(evaluate._alpha_op.__wrapped__)
     tiny_terms = functools.lru_cache(maxsize=2)(evaluate._op_terms.__wrapped__)
     tiny_above = functools.lru_cache(maxsize=2)(enumeration._above.__wrapped__)
-    monkeypatch.setattr(enumeration, "_count", tiny_count)
+    monkeypatch.setattr(enumeration, "_lookup", tiny_lookup)
     monkeypatch.setattr(enumeration, "_above", tiny_above)
     monkeypatch.setattr(evaluate, "_alpha_op", tiny_op)
     monkeypatch.setattr(evaluate, "_op_terms", tiny_terms)
@@ -629,7 +676,7 @@ def test_cache_limit_keeps_results_correct(monkeypatch):
     # a W-row steps along its first gap over rests read from the rows-above memo
     assert alpha((7, 4, 4, 3, 3, 2, 2, 1, 1)) == refined_asm(5, 3) == 135
     assert 0 < tiny_above.cache_info().currsize <= 2
-    assert 0 < tiny_count.cache_info().currsize <= 2
+    assert 0 < tiny_lookup.cache_info().currsize <= 2
     assert tiny_op.cache_info().currsize <= 2
     assert 0 < tiny_terms.cache_info().currsize <= 2
 
