@@ -19,7 +19,7 @@ from . import enumeration, exactla, transform
 from .core import triangle_stats
 from .enumeration import TriangleClass
 from .errors import InvalidInputError, ParseError, ResourceLimitError
-from .evaluate import alpha
+from .evaluate import AlphaMethod, alpha
 from .report import FAILED, VERIFIED
 from .serialize import _DECIMAL, deserialize, serialize
 from .verify import IDENTITIES, verify
@@ -146,7 +146,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha", help="evaluate the counting polynomial at a bottom row")
     p.add_argument("--row", required=True, help="comma-separated integers")
-    p.add_argument("--method", choices=["auto", "op", "mt", "dmt"], default="auto")
+    p.add_argument("--method", choices=[m.value for m in AlphaMethod], default="auto")
     p.set_defaults(fn=_cmd_alpha)
 
     p = sub.add_parser("enum", help="enumerate triangles, matrices or W-objects")

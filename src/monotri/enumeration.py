@@ -13,9 +13,10 @@ stream; ``enum_triangles`` stacks rows from it.
 ``signed_count`` runs one DP over distinct rows of either class and reads
 every count, its own row's too, through one door, ``_lookup``: a bounded
 LRU cache keyed by the kernel and the gap word as read.  Rows of one or two
-entries have a closed form; a longer word is canonicalised once, to
-``_key``: the word or its reverse (the mirror image), whichever puts the
-wider end gap in front, or for a DMT row under ``sc`` its rotation class.
+entries have a closed form; for a longer word ``_key`` alone decides the
+word the DP counts and its sign: the word or its reverse (the mirror
+image), whichever puts the wider end gap in front, or for a DMT row under
+``sc`` a rotation, with sign 0 where the rotation shows the count is 0.
 ``_count(kernel, gaps)`` counts a key by the rules in its docstring: from
 the rows above its rest or its rest's rest, or from narrower first gaps,
 so no count streams its own rows above or walks an end gap wider than the
@@ -182,13 +183,37 @@ def _gaps(row):
     return tuple([*map(sub, row, row[1:])])
 
 
-def _key(gaps):
-    """The DP key of gap word ``gaps``: it or its reverse, the mirror image
-    (-k_n, ..., -k_1), which keeps the class and every kernel's count,
-    whichever puts the wider end gap in front (the first pair of gaps that
-    differ in size, read inward, decides): the larger word for DMT, gaps >= 0."""
-    back = gaps[::-1]
-    return min(gaps, back) if gaps[0] < 0 else max(gaps, back)
+def _key(kernel, gaps):
+    """The word the DP counts for gap word ``gaps`` of three or more entries,
+    and the sign that carries its count to that of ``gaps``, 0 when that
+    count is 0: the one place either is chosen.  The mirror image
+    (-k_n, ..., -k_1) keeps the class and every kernel's count; its key is
+    the word or its reverse, whichever puts the wider end gap in front (the
+    first pair of gaps that differ in size, read inward, decides): the
+    larger word for DMT, gaps >= 0.  It serves every kernel but ``sc`` (alpha
+    at a DMT row), every MT word, and spread > n.  Under ``sc`` at spread
+    <= n, alpha(n; k) = (-1)^(n-1) alpha(n; k2..kn, k1 - n) (Fischer 2007)
+    turns the cycle ``(spare,) + gaps``, spare = n - spread, and leaving
+    out its entry j gives a row weighed by (-1)^((n-1)j).  Two adjacent
+    zeros in it give one with a triple, so sign 0; else the key is the
+    largest word either way of a cut at the widest entry, the first cut
+    found winning a tie.  A key, its own cut j = 0, is its own key with sign
+    1; where the spare alone is widest, the cut there is the mirror key."""
+    n = len(gaps) + 1
+    if kernel != "sc" or gaps[0] < 0 or (spare := n - sum(gaps)) < 0:
+        back = gaps[::-1]
+        return min(gaps, back) if gaps[0] < 0 else max(gaps, back), 1
+    if not spare and not (gaps[0] and gaps[-1]):
+        return gaps, 0
+    cycle = ((spare,) + gaps) * 2  # the cut at j is cycle[j + 1:j + n]
+    top = max(cycle)
+    j = cut = cycle.index(top)
+    key = max(cycle[j + 1:j + n], cycle[j + n - 1:j:-1])
+    for _ in range(1, cycle.count(top) // 2):
+        j = cycle.index(top, j + 1)
+        if (word := max(cycle[j + 1:j + n], cycle[j + n - 1:j:-1])) > key:
+            key, cut = word, j
+    return key, -1 if n % 2 == 0 and cut % 2 else 1
 
 
 @functools.lru_cache(maxsize=_ABOVE_ENTRIES)
@@ -204,7 +229,8 @@ def _above(kernel, gaps):
     perfbench's alpha-cold)."""
     row = tuple(accumulate(reversed(gaps), initial=0))[::-1]
     if abs(row[0]) > 20 and math.prod([abs(g) + 1 for g in gaps]) > _ABOVE_LIMIT:
-        raise ResourceLimitError(f"over {_ABOVE_LIMIT} rows above a row with gaps {gaps}")
+        raise ResourceLimitError(
+            f"over {_ABOVE_LIMIT} rows above a row of {len(row)} entries and spread {abs(row[0])}")
     stream = predecessors(row, TriangleClass.MT if gaps[0] < 0 else TriangleClass.DMT)
     if kernel != "sc" and gaps[0] >= 0:  # MT rows have neither pairs nor sign changes
         pairs = _pair_values(row) if kernel == "pair" else set()
@@ -218,33 +244,16 @@ def _lookup(kernel, gaps):
     read, and the only door to ``_count``.  A word of no gaps counts 1.  A
     word ``(g,)`` has g - 1 rows above, each a DMT newcomer, or one row (0)
     when g = 0, or 1 - g MT rows when g < 0: it counts ``1 - g`` under ``sc``
-    and ``|g - 1|`` else.  A longer word is canonicalised once, on a miss:
-    a key is counted by ``_count``, any other word is read through
-    ``_lookup`` at its key.  The key is ``_key``'s, but under ``sc`` (alpha
-    at a DMT row) alpha(n; k) = (-1)^(n-1) alpha(n; k2..kn, k1 - n)
-    (Fischer 2007): at spread <= n, leaving one gap of the cycle
-    ``gaps + (n - spread,)`` out gives a row.  Two adjacent zeros in it give one with a triple, so 0; else
-    the key is the largest word either way of a cut at the widest gap, entry
-    j, weighed by (-1)^((n-1)(j+1))."""
+    and ``|g - 1|`` else.  A longer word is read, on a miss, as ``_key``
+    decides: a key with sign 1 is counted by ``_count``, any other word is
+    its sign times its key's count, read through ``_lookup``."""
     n = len(gaps) + 1
     if n < 3:
         return 1 if n == 1 else 1 - gaps[0] if kernel == "sc" else abs(gaps[0] - 1)
-    # where the spare gap alone is the widest, the cut there is the row itself
-    if (kernel != "sc" or gaps[0] < 0
-            or not 0 <= (spare := n - sum(gaps)) <= (top := max(gaps))):
-        key = _key(gaps)
-        return _count(kernel, gaps) if key == gaps else _lookup(kernel, key)
-    if not spare and not (gaps[0] and gaps[-1]):
-        return 0
-    cycle = (gaps + (spare,)) * 2  # the cut at j is cycle[j + 1:j + n]
-    j = cut = cycle.index(top)
-    key = max(cycle[j + 1:j + n], cycle[j + n - 1:j:-1])
-    for _ in range(1, cycle.count(top) // 2):
-        j = cycle.index(top, j + 1)
-        if (word := max(cycle[j + 1:j + n], cycle[j + n - 1:j:-1])) > key:
-            key, cut = word, j
-    value = _count(kernel, gaps) if key == gaps else _lookup(kernel, key)
-    return -value if n % 2 == 0 == cut % 2 else value
+    key, sign = _key(kernel, gaps)
+    if key == gaps and sign == 1:
+        return _count(kernel, gaps)
+    return sign * _lookup(kernel, key) if sign else 0
 
 
 def _count(kernel, gaps):
@@ -255,46 +264,37 @@ def _count(kernel, gaps):
     with the row below, which dd and dd_bar share.  Every weight is 1 on MT
     rows, which have neither pairs nor sign changes.
 
-    A key with first gap ``w = |k1 - k2|`` at most 1 sums its rows above,
-    made from those above its rest R or its rest's rest R'', so it never
-    streams its own.  An MT key ``(k1, k1 + 1) + R''``: for each A above R,
-    ``(k1,) + A``, and ``(k1 + 1,) + A`` when A begins above k1 + 1.  A DMT
-    key ``(x + w, x) + R''``: its rows above that hold x twice are the
-    ``(x, x) + B`` for B above R'', with one more pair, shared with the row
-    below if it holds x twice too.  At w = 1 there are no others: the
-    singleton x + 1 stays out, so a row above begins with x, and so does its
-    next entry, forced by a pair x or to pair a singleton x.  At w = 0 the
-    others are the ``(x,) + B`` for B above R, with B's weight.
-
-    A key ``(k1,) + R`` of n entries with w from 2 to n steps along that
-    gap.  A DMT count is that of ``(k1 - 1,) + R`` plus, for each ``(A, sc)``
-    above R, that of ``(k1 - 1,) + A`` weighed as above with one more sign
-    change under ``sc``: the rows above with first entry at most k1 - 2 are
-    those above ``(k1 - 1,) + R`` with the same weights, as k1 and k1 - 1 are
-    singletons outside them; the rest are the ``(k1 - 1,) + A``, that entry a
-    newcomer.  An MT count is that of ``(k1 + 1,) + R`` plus that of
-    ``(k1,) + A`` for each A above R: the rows above that do not begin with
-    k1 are those above ``(k1 + 1,) + R``.  The A come from ``_above``.  By
-    that step, and by induction from ``_lookup``'s two-entry count, every
-    kernel's count has degree at most n - 1 in k1 from w = 1 on (for ``sc``
-    Fischer 2006), so a gap wider than n is the Lagrange extrapolation from
-    gaps 1..n over the same R, taken in increasing gap so each step finds the
-    one below it cached; as the wider end gap is in front, the recursion is a
-    few rows deep."""
+    A key ``(k1,) + R`` of n entries with first gap ``w = |k1 - k2|`` at
+    most n sums its rows above in two blocks, built from narrower first
+    gaps and from the rows ``(A, weight)`` above R or R's rest R'', so it
+    never streams its own.  The first block is, at w >= 2, the count of the
+    key one gap narrower, ``(k1 + 1,) + R`` for MT and ``(k1 - 1,) + R`` for
+    DMT: the rows above that the second block misses, with the same weights
+    (k1 and k1 - 1 are DMT singletons outside them).  At w <= 1 it is empty
+    for MT, and for a DMT key ``(x + w, x) + R''`` the rows ``(x, x) + B``
+    for B above R'', with one more pair, shared with the row below if it
+    holds x twice too.  At w = 1 these are all: the singleton x + 1 stays
+    out, so a row above begins with x, and so does its next entry, forced by
+    a pair x or to pair a singleton x.  The second block puts one entry in
+    front of each A: k1 for MT, and at w = 1 also k2 when A begins above k2;
+    x at w = 0; the newcomer k1 - 1 for DMT at w >= 2, one more sign change
+    under ``sc``.  By that step, and by induction from ``_lookup``'s
+    two-entry count, every kernel's count has degree at most n - 1 in k1
+    from w = 1 on (for ``sc`` Fischer 2006), so a gap wider than n is the
+    Lagrange extrapolation from gaps 1..n over the same R, taken in
+    increasing gap so each step finds the one below it cached; as the wider
+    end gap is in front, the recursion is a few rows deep."""
     n, gap, rest = len(gaps) + 1, gaps[0], gaps[1:]
     w, step = abs(gap), 1 if gap > 0 else -1  # k1 - step narrows the first gap
     if w > n:
         # L_i(w) over the nodes 1..n, with its denominator folded into the combs
         return sum([(-1) ** (n - i) * math.comb(w - 1, i - 1) * math.comb(w - i - 1, n - i)
                     * _lookup(kernel, (step * i,) + rest) for i in range(1, n + 1)])
-    if gap == -1:
+    if w > 1:
+        value = _lookup(kernel, (gap - step,) + rest)
+    elif gap < 0:
         value = 0
-        for drop, above, _ in _above(kernel, rest):
-            value += _lookup(kernel, (gap + drop,) + above)
-            if drop < 0:
-                value += _lookup(kernel, (drop,) + above)
-        return value
-    if w < 2:
+    else:
         # (x, x) + B: one more pair, shared if the row below has x twice
         flip = kernel == "sc" or kernel == "pair" and 0 in gaps[:2]
         if n == 3:  # B is empty: the one row (x, x), word (0,), counts 1
@@ -304,16 +304,15 @@ def _count(kernel, gaps):
             for drop, above, odd in _above(kernel, gaps[2:]):
                 count = _lookup(kernel, (0, rest[0] + drop) + above)
                 value += -count if odd != flip else count
-        if gap == 0:
-            for drop, above, odd in _above(kernel, rest):
-                count = _lookup(kernel, (drop,) + above)
-                value += -count if odd else count
-        return value
-    # a DMT row above puts a newcomer k1 - 1 in front, one more sign change
-    base, flip = gap - (gap > 0), gap > 0 and kernel == "sc"
-    value = _lookup(kernel, (gap - step,) + rest)
+        if gap:
+            return value
+    # A's row begins with k1 - (gap > 0): a DMT newcomer k1 - 1 is one more
+    # sign change; at MT gap -1, k2 also fronts each A that begins above it
+    base, flip, both = gap - (gap > 0), gap > 0 and kernel == "sc", gap == -1
     for drop, above, odd in _above(kernel, rest):
         count = _lookup(kernel, (base + drop,) + above)
+        if both and drop < 0:
+            count += _lookup(kernel, (drop,) + above)
         value += -count if odd != flip else count
     return value
 

@@ -171,7 +171,7 @@ def alpha(
     """
     k = tuple(k)
     shape = classify_row_sequence(k)
-    if isinstance(method, str):
+    if not isinstance(method, AlphaMethod):
         try:
             method = AlphaMethod(method)
         except ValueError:

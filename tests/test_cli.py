@@ -11,7 +11,7 @@ from monotri import cli
 from monotri.cli import run_cli
 from monotri.serialize import serialize
 from monotri.verify import IDENTITIES
-from monotri import SignMatrix, TriangularArray
+from monotri import AlphaMethod, SignMatrix, TriangularArray
 
 from golden import DMT_10, TWOASM_5
 
@@ -28,11 +28,11 @@ def test_alpha_golden(capsys):
 
 
 def test_alpha_methods(capsys):
-    for method in ("auto", "op", "mt"):
-        code, out, _ = run(capsys, "alpha", "--row", "2,4,5,8,9", "--method", method)
-        assert code == 0 and out.strip() == "16939"
-    code, out, _ = run(capsys, "alpha", "--row", "6,3,3,2,1", "--method", "dmt")
-    assert code == 0 and out.strip() == "3"
+    # --method offers every AlphaMethod by its value
+    for method in AlphaMethod:
+        row = "6,3,3,2,1" if method is AlphaMethod.SIGNED_DMT_DP else "2,4,5,8,9"
+        code, out, _ = run(capsys, "alpha", "--row", row, "--method", method.value)
+        assert code == 0 and out.strip() == ("3" if row == "6,3,3,2,1" else "16939"), method
 
 
 def test_alpha_invalid_method_combo(capsys):
@@ -62,6 +62,13 @@ def test_alpha_wide_inner_gap_stops_at_budget(capsys, row):
     code, out, err = run(capsys, "alpha", "--row", row)
     assert time.perf_counter() - start < 1
     assert code == 3 and out == "" and "rows above" in err
+
+
+def test_alpha_long_row_stops_with_a_short_message(capsys):
+    # the budget stop names the row's size, not its gap word
+    code, out, err = run(capsys, "alpha", "--row", ",".join(map(str, range(1, 401))))
+    assert code == 3 and out == "" and "rows above" in err
+    assert err.count("\n") == 1 and len(err) < 200, err
 
 
 def test_alpha_wide_monotone_gap(capsys):

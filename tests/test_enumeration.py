@@ -170,6 +170,13 @@ def _tied_gap_pairs(k):
     return tied, tied == len(pairs)
 
 
+def _mirror_keys(k):
+    # the keys and signs _key gives k's gap word under plain and pair, and
+    # under sc too for an MT row: each is the mirror key with sign 1
+    kernels = ("plain", "pair") + (("sc",) if k[0] < k[1] else ())
+    return {enumeration._key(kernel, gap_word(k)) for kernel in kernels}
+
+
 def test_key_puts_the_wider_end_gap_in_front():
     # every strictly increasing and every DMT row of length 2..6 over 0..6;
     # the rows whose gaps read the same both ways tie at the end gaps
@@ -178,7 +185,7 @@ def test_key_puts_the_wider_end_gap_in_front():
             or all(a >= b for a, b in zip(k, k[1:])) and max(map(k.count, k)) <= 2]
     palindromes = 0
     for k in rows:
-        assert enumeration._key(gap_word(k)) == _key_oracle(k), k
+        assert _mirror_keys(k) == {(_key_oracle(k), 1)}, k
         palindromes += _tied_gap_pairs(k)[1]
     assert (len(rows), palindromes) == (1008, 188)
     # rows of 8 and 9 entries, DMT with gaps 0..2 and MT with gaps 1..3: the
@@ -189,10 +196,38 @@ def test_key_puts_the_wider_end_gap_in_front():
              for gaps in product((1, 2, 3), repeat=n - 1)]
     tallies = Counter()
     for k in rows:
-        assert enumeration._key(gap_word(k)) == _key_oracle(k), k
+        assert _mirror_keys(k) == {(_key_oracle(k), 1)}, k
         tied, palindrome = _tied_gap_pairs(k)
         tallies["palindrome" if palindrome else tied] += 1
     assert tallies == {0: 8848, 1: 2916, 2: 1016, 3: 270, "palindrome": 266}
+
+
+def test_every_key_is_its_own_key():
+    # every DMT word of 3..8 entries with gaps 0..3 and every MT word of 3..9
+    # entries with gaps 1..3, under each kernel: a key read again is itself
+    # with sign 1, so _lookup counts it and never reads it through itself.
+    # Under sc a word whose spare gap n - spread alone is widest keys as its
+    # mirror, and one whose cycle at spare 0 has two adjacent zeros has sign 0
+    dmt = [gaps for n in range(3, 9) for gaps in product(range(4), repeat=n - 1)
+           if (0, 0) not in zip(gaps, gaps[1:])]
+    mt = [gaps for n in range(3, 10) for gaps in product((-1, -2, -3), repeat=n - 1)]
+    tallies = Counter()
+    for kernel in ("plain", "sc", "pair"):
+        for gaps in dmt + mt:
+            key, sign = enumeration._key(kernel, gaps)
+            if sign:
+                assert enumeration._key(kernel, key) == (key, 1), (kernel, gaps)
+            spare = len(gaps) + 1 - sum(gaps)
+            if kernel != "sc" or gaps[0] < 0 or spare < 0:
+                tallies["mirror"] += 1
+            elif spare > max(gaps):
+                assert (key, sign) == (max(gaps, gaps[::-1]), 1), gaps
+                tallies["spare widest"] += 1
+            else:
+                zero = spare == 0 and 0 in (gaps[0], gaps[-1])
+                assert (sign == 0) == zero, gaps
+                tallies["zero" if zero else sign] += 1
+    assert tallies == {"mirror": 75138, "spare widest": 138, "zero": 734, 1: 885, -1: 568}
 
 
 @pytest.mark.parametrize("cls, bottom", [

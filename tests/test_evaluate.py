@@ -328,8 +328,12 @@ def test_alpha_method_compatibility():
         alpha((3, 2, 1), AlphaMethod.MONOTONE_DP)
     with pytest.raises(InvalidInputError):
         alpha(())
-    with pytest.raises(InvalidInputError, match="unknown alpha method"):
-        alpha((1, 2), "bogus")
+    # a method is an AlphaMethod or the value of one; nothing else falls
+    # through to the operator recursion, which would refuse a long row
+    for method in ("bogus", "MT", 5, None, 1.5, ["mt"]):
+        for row in ((1, 2), (1, 2, 3), tuple(range(8))):
+            with pytest.raises(InvalidInputError, match="unknown alpha method"):
+                alpha(row, method)
     # a single entry is in both monotone classes
     assert alpha((5,), AlphaMethod.MONOTONE_DP) == 1
     assert alpha((5,), AlphaMethod.SIGNED_DMT_DP) == 1
