@@ -64,6 +64,8 @@ def _cmd_enum(args) -> int:
     if cls in ("mt", "dmt"):
         if args.row is None:
             raise InvalidInputError(f"--class {cls} needs --row")
+        if args.format == "csv" and not args.count_only:
+            raise InvalidInputError("csv is only defined for matrices and report tables")
         stream = enumeration.enum_triangles(_row(args.row), TriangleClass(cls))
     elif cls in ("asm", "2asm"):
         if args.n is None:

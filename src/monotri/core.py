@@ -83,7 +83,7 @@ class SignMatrix:
         return tuple(row[j] for row in self.entries)
 
     def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.entries))
 
 
 class RowSeqClass(Enum):

@@ -19,7 +19,9 @@ pair through partial sum 1 in a 2-ASM column ((1,1) and (1,-1) from 0,
 through the table, ``reach_table`` records which states can still reach an
 accept state, and ``backtrack`` builds matrices row by row with one machine
 state per column, pruned by that table; ``generate`` is its one-column
-case.  Machines are named by id.
+case.  It lists the moves of each row from each tuple of column states
+once per call, with one shared tuple per state vector, in a table that dies
+with the call.  Machines are named by id.
 """
 
 from __future__ import annotations
@@ -135,32 +137,54 @@ def backtrack(column_machine, width: int, row_words):
     """Matrices whose row ``r`` is taken from ``row_words[r]`` (words of
     length ``width``) and whose columns the column machine accepts, as
     tuples of rows in row-major lexicographic order of the word lists.
-    Each column carries its machine state; a row is refused as soon as one
-    column could no longer reach an accept state in the rows left."""
+    Each column carries its machine state; the moves of row ``r`` from a
+    tuple of states are the words that leave every column able to reach an
+    accept state in the rows left, each with the states after it.  They are
+    found once per ``(r, states)`` and call, one shared tuple per distinct
+    state vector, and a stack of iterators walks these lists."""
     trans = _spec(column_machine).table
     height = len(row_words)
     table = reach_table(column_machine, height)
     if width and not table[height][0]:
         return
+    shared = {}
+    found = {}
 
-    def rec(r, col_states, acc):
-        if r == height:
-            yield tuple(acc)
-            return
-        reach = table[height - r - 1]
-        for word in row_words[r]:
-            nxt = []
-            for j, sym in enumerate(word):
-                state = trans[col_states[j]].get(sym)
-                if state is None or not reach[state]:
-                    break
-                nxt.append(state)
-            else:
-                acc.append(word)
-                yield from rec(r + 1, nxt, acc)
-                acc.pop()
+    def moves(r, col_states):
+        out = found.get((r, col_states))
+        if out is None:
+            reach = table[height - r - 1]
+            out = []
+            for word in row_words[r]:
+                nxt = []
+                for state, sym in zip(col_states, word):
+                    state = trans[state].get(sym)
+                    if state is None or not reach[state]:
+                        break
+                    nxt.append(state)
+                else:
+                    nxt = tuple(nxt)
+                    out.append((word, shared.setdefault(nxt, nxt)))
+            out = found[r, col_states] = tuple(out)
+        return out
 
-    yield from rec(0, [0] * width, [])
+    if not height:
+        yield ()
+        return
+    # a stack of move iterators, one per row, and no recursive closure:
+    # the table is freed with the generator, not by a cycle collection
+    stack = [iter(moves(0, (0,) * width))]
+    path = []  # the words taken in rows 0 .. len(stack) - 2
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            path[-1:] = []
+        elif len(stack) == height:
+            yield (*path, step[0])
+        else:
+            path.append(step[0])
+            stack.append(iter(moves(len(stack), step[1])))
 
 
 def generate(machine, length: int):

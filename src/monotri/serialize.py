@@ -148,8 +148,9 @@ def _report_from_obj(obj):
 
 
 def _matrix_from_csv(text: str):
+    lines = list(csv.reader(io.StringIO(text)))
     rows = []
-    for i, line in enumerate(csv.reader(io.StringIO(text))):
+    for i, line in enumerate(lines):
         if not line:
             continue
         row = []
@@ -161,8 +162,10 @@ def _matrix_from_csv(text: str):
             except ValueError:
                 raise ParseError(f"row {i + 1} column {j + 1}: {cell!r} is not an integer") from None
         rows.append(tuple(row))
-    if not rows:
+    if not lines:
         raise ParseError("empty csv matrix")
+    if not rows:  # all lines blank: a matrix of no column, one row a line
+        rows = [()] * len(lines)
     try:
         return SignMatrix(tuple(rows))
     except InvalidInputError as e:

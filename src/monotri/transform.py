@@ -1,10 +1,13 @@
 """Bijections between triangles and sign matrices.
 
-Both directions share one partial-sum engine: entry (i, j) of the matrix is
+Both directions share one partial-sum rule: entry (i, j) of the matrix is
 the count of value j in row i of the triangle minus the same count one row
-up.  Monotone triangles with bottom row (1..n) correspond to n x n ASMs
-(column sums 1); decreasing monotone triangles with bottom row
-(n, n, ..., 1, 1) correspond to (2n) x n 2-ASMs (column sums 2).
+up.  ``triangle_to_matrix`` counts each row's values into a list;
+``matrix_to_triangle`` reads the counts of row i off the column walks that
+the membership check returns: each walk's state after row i.  Monotone
+triangles with bottom row (1..n) correspond to n x n ASMs (column sums 1);
+decreasing monotone triangles with bottom row (n, n, ..., 1, 1) correspond
+to (2n) x n 2-ASMs (column sums 2).
 
 The structured subset S1 (every even row consists entirely of pairs) maps
 onto monotone triangles by collapsing each pair of an even row to a single
@@ -20,8 +23,9 @@ matrix argument is checked against the one description of its class in
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
+from itertools import chain, repeat
+from operator import sub
 
 from .core import (
     SignMatrix,
@@ -71,9 +75,10 @@ def triangle_to_matrix(t: TriangularArray, kind: BijectionKind) -> SignMatrix:
     prev = [0] * n
     out = []
     for row in t.rows:
-        counts = Counter(row)
-        b = [counts.get(j, 0) for j in range(1, n + 1)]
-        out.append(tuple(b[j] - prev[j] for j in range(n)))
+        b = [0] * n  # b[v - 1]: the count of value v, which lies in 1..n
+        for v in row:
+            b[v - 1] += 1
+        out.append(tuple(map(sub, b, prev)))
         prev = b
     return SignMatrix(tuple(out))
 
@@ -81,17 +86,16 @@ def triangle_to_matrix(t: TriangularArray, kind: BijectionKind) -> SignMatrix:
 def matrix_to_triangle(m: SignMatrix, kind: BijectionKind) -> TriangularArray:
     """Inverse of ``triangle_to_matrix``: row i lists the values 1..n, in
     ascending order for an ASM and descending order for a 2-ASM, each
-    repeated by the i-th partial sum of its column."""
+    repeated by the i-th partial sum of its column.  The partial sums are
+    the states of the column walks that the membership check returns."""
     mt = kind is BijectionKind.MT_ASM
     n = m.rows if mt else m.cols
-    _check_member(m, "asm" if mt else "2asm", n)
+    walks = _check_member(m, "asm" if mt else "2asm", n)
     values = range(1, n + 1) if mt else range(n, 0, -1)
-    rows = []
-    totals = [0] * n
-    for mat_row in m.entries:
-        totals = [a + b for a, b in zip(totals, mat_row)]
-        rows.append(tuple(v for v in values for _ in range(totals[v - 1])))
-    t = TriangularArray(tuple(rows))
+    sums = zip(*(walks if mt else walks[::-1]))
+    next(sums)  # the walks' common start, before row 1
+    t = TriangularArray(tuple([tuple(chain.from_iterable(map(repeat, values, row_sums)))
+                               for row_sums in sums]))
     if not (validate_monotone(t) if mt else validate_dmt(t)):
         raise InternalError(f"{kind.value} inverse produced an invalid triangle {t.rows}")
     return t

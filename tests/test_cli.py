@@ -9,7 +9,7 @@ import pytest
 
 from monotri import cli
 from monotri.cli import run_cli
-from monotri.serialize import serialize
+from monotri.serialize import deserialize, serialize
 from monotri.verify import IDENTITIES
 from monotri import AlphaMethod, SignMatrix, TriangularArray
 
@@ -105,6 +105,26 @@ def test_enum_limit_zero(capsys):
     assert code == 0 and out.strip() == "0"
     code, out, err = run(capsys, "enum", "--class", "mt", "--row", "3,2", "--limit", "0")
     assert code == 2 and out == "" and err
+
+
+@pytest.mark.parametrize("cls, row", [("mt", "1,2,3"), ("dmt", "3,3,2,1")])
+def test_enum_triangles_refuse_csv_whatever_the_limit(capsys, cls, row):
+    # triangles have no csv form: refused before any is made, printed or not
+    for limit in ([], ["--limit", "0"], ["--limit", "1"]):
+        code, out, err = run(capsys, "enum", "--class", cls, "--row", row, "--format", "csv",
+                             *limit)
+        assert (code, out) == (2, "") and "csv" in err, limit
+    code, out, _ = run(capsys, "enum", "--class", cls, "--row", row, "--format", "csv",
+                       "--count-only")
+    assert code == 0 and int(out) > 0
+
+
+def test_enum_wni_csv_zero_columns(capsys):
+    # the 1 x 0 W-object for (1, 1): its csv, one blank line, then the separator
+    code, out, _ = run(capsys, "enum", "--class", "wni", "--n", "1", "--i", "1",
+                       "--format", "csv")
+    assert code == 0 and out == "\n\n"
+    assert deserialize(out[:1], "matrix") == SignMatrix(((),))
 
 
 def test_enum_negative_limit(capsys):

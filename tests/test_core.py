@@ -118,6 +118,86 @@ def test_validate_dmt():
     assert not validate_dmt(TriangularArray(((2,), (2, 2), (2, 2, 2))))
 
 
+def _monotone_oracle(rows) -> bool:
+    """Entry by entry: rows strictly increase, and each entry lies between
+    its two neighbours in the row below."""
+    for row in rows:
+        for j in range(len(row) - 1):
+            if not row[j] < row[j + 1]:
+                return False
+    for i in range(len(rows) - 1):
+        for j, x in enumerate(rows[i]):
+            if not rows[i + 1][j] <= x <= rows[i + 1][j + 1]:
+                return False
+    return True
+
+
+def _dmt_oracle(rows) -> bool:
+    """Entry by entry: each entry lies between its two neighbours in the row
+    below, read right to left; no row holds a value three times; no value
+    occurs exactly once in each of two consecutive rows."""
+    for i in range(len(rows) - 1):
+        for j, x in enumerate(rows[i]):
+            if not rows[i + 1][j] >= x >= rows[i + 1][j + 1]:
+                return False
+    if any(row.count(v) > 2 for row in rows for v in row):
+        return False
+    return not any(upper.count(v) == 1 and lower.count(v) == 1
+                   for upper, lower in zip(rows, rows[1:]) for v in upper)
+
+
+def _triangles(n, values=range(1, 5)):
+    """Every triangle of ``n`` rows with entries in ``values``."""
+    cells = list(product(values, repeat=n * (n + 1) // 2))
+    return [tuple(c[i * (i + 1) // 2:(i + 1) * (i + 2) // 2] for i in range(n)) for c in cells]
+
+
+def _validator_cases():
+    """Every triangle of up to 3 rows on entries 1..4, and every 4-row one
+    whose top three rows either oracle accepts, with any bottom row."""
+    small = [t for n in (1, 2, 3) for t in _triangles(n)]
+    tops = [t for t in small if len(t) == 3 and (_monotone_oracle(t) or _dmt_oracle(t))]
+    return small + [t + (k,) for t in tops for k in product(range(1, 5), repeat=4)]
+
+
+def test_validators_match_entry_oracles_exhaustively():
+    seen = {"mt": 0, "dmt": 0}
+    for rows in _validator_cases():
+        t = TriangularArray(rows)
+        mt, dmt = _monotone_oracle(rows), _dmt_oracle(rows)
+        assert validate_monotone(t) == mt, rows
+        assert validate_dmt(t) == dmt, rows
+        seen["mt"] += mt
+        seen["dmt"] += dmt
+    # the tallies pin the case set, and both classes are well represented
+    assert seen == {"mt": 104, "dmt": 60}
+
+
+@pytest.mark.parametrize("rows, mt, dmt", [
+    # diagonal equality on either side, and one step past it
+    (((2,), (2, 3)), True, False),
+    (((3,), (2, 3)), True, False),
+    (((1,), (2, 3)), False, False),
+    (((4,), (2, 3)), False, False),
+    (((3,), (3, 1)), False, False),  # 3 once in both rows: a single descendant
+    (((1,), (3, 1)), False, False),
+    (((2,), (3, 1)), False, True),
+    (((3,), (3, 3)), False, True),  # equal neighbours below: a pair, not a single
+    (((0,), (3, 1)), False, False),
+    (((2,), (3, 3)), False, False),
+    # a value three times in a row
+    (((2,), (2, 2), (2, 2, 2)), False, False),
+    (((3,), (3, 3), (4, 3, 3)), False, True),
+    # a single descendant two rows down
+    (((3,), (4, 2), (4, 3, 2)), False, False),
+    (((3,), (4, 2), (5, 3, 1)), False, True),
+])
+def test_validator_boundaries(rows, mt, dmt):
+    t = TriangularArray(rows)
+    assert (validate_monotone(t), validate_dmt(t)) == (mt, dmt)
+    assert (_monotone_oracle(rows), _dmt_oracle(rows)) == (mt, dmt)
+
+
 def condition3_equivalent(t: TriangularArray) -> bool:
     """Literal evaluation of the local reformulation of the NSD condition.
 

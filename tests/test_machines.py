@@ -1,15 +1,19 @@
 import dataclasses
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
 from monotri import (
     InvalidInputError,
     ParseError,
+    SignMatrix,
     accepts,
+    enum_matrices,
+    enum_wni_objects,
     generate,
     parse_steps,
 )
+from monotri.enumeration import _matrix_class
 from monotri.machines import (
     ASM_WORD,
     MACHINES,
@@ -183,3 +187,62 @@ def test_unregistered_spec_rejected(change):
         with pytest.raises(InvalidInputError, match=repr(spec.machine_id)):
             call()
 
+
+
+def _backtrack_oracle(column_machine, width, row_words):
+    """The recursive backtracking that steps every word of a row through
+    every column at every node: the stream ``backtrack`` must reproduce."""
+    trans = MACHINES[column_machine].table
+    height = len(row_words)
+    table = reach_table(column_machine, height)
+    if width and not table[height][0]:
+        return
+
+    def rec(r, col_states, acc):
+        if r == height:
+            yield tuple(acc)
+            return
+        reach = table[height - r - 1]
+        for word in row_words[r]:
+            nxt = []
+            for j, sym in enumerate(word):
+                state = trans[col_states[j]].get(sym)
+                if state is None or not reach[state]:
+                    break
+                nxt.append(state)
+            else:
+                acc.append(word)
+                yield from rec(r + 1, nxt, acc)
+                acc.pop()
+
+    yield from rec(0, [0] * width, [])
+
+
+def _oracle_class(kind, n, i=None):
+    # row words filtered from all words, independently of ``generate``
+    row_machines, column_machine, width = _matrix_class(kind, n, i)
+    words = {m: [w for w in product((-1, 0, 1), repeat=width) if accepts(m, w)]
+             for m in set(row_machines)}
+    return [SignMatrix(rows) for rows in
+            _backtrack_oracle(column_machine, width, [words[m] for m in row_machines])]
+
+
+@pytest.mark.parametrize("kind, n", [("asm", n) for n in range(1, 7)]
+                         + [("2asm", n) for n in range(1, 5)])
+def test_backtrack_matches_oracle_on_matrices(kind, n):
+    assert list(enum_matrices(kind, n)) == _oracle_class(kind, n)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_backtrack_matches_oracle_on_wni_objects(n):
+    for i in range(1, 2 * n):
+        got = [o.matrix for o in enum_wni_objects(n, i)]
+        assert got == _oracle_class("wni", n, i), i
+
+
+@pytest.mark.parametrize("machine", [ASM_WORD, TWO_ASM_COLUMN, MODIFIED_ROW])
+def test_generate_matches_backtrack_oracle(machine):
+    for length in range(0, 9):
+        expected = [tuple(chain.from_iterable(rows)) for rows in
+                    _backtrack_oracle(machine, 1, [((-1,), (0,), (1,))] * length)]
+        assert list(generate(machine, length)) == expected, length

@@ -211,8 +211,15 @@ def test_triangle_roundtrip_random(t):
 @given(matrices())
 def test_matrix_roundtrip_random(m):
     assert deserialize(serialize(m), "matrix") == m
-    if m.cols > 0:
-        assert deserialize(serialize(m, "csv"), "matrix") == m
+    assert deserialize(serialize(m, "csv"), "matrix") == m
+
+
+@pytest.mark.parametrize("height", [1, 3])
+def test_zero_column_matrix_csv_roundtrip(height):
+    # a zero-column matrix is written as blank lines, one per row
+    m = SignMatrix(((),) * height)
+    assert serialize(m, "csv") == b"\n" * height
+    assert deserialize(serialize(m, "csv"), "matrix") == m
 
 
 # entries a carrier might be handed: ints, and what must not pass for them
