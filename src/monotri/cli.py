@@ -60,11 +60,11 @@ def _cmd_alpha(args) -> int:
 def _cmd_enum(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise InvalidInputError(f"--limit must be non-negative, got {args.limit}")
-    cls = args.cls
+    cls, csv = args.cls, args.format == "csv" and not args.count_only
     if cls in ("mt", "dmt"):
         if args.row is None:
             raise InvalidInputError(f"--class {cls} needs --row")
-        if args.format == "csv" and not args.count_only:
+        if csv:
             raise InvalidInputError("csv is only defined for matrices and report tables")
         stream = enumeration.enum_triangles(_row(args.row), TriangleClass(cls))
     elif cls in ("asm", "2asm"):
@@ -75,6 +75,9 @@ def _cmd_enum(args) -> int:
         if args.n is None or args.i is None:
             raise InvalidInputError("--class wni needs --n and --i")
         stream = (o.matrix for o in enumeration.enum_wni_objects(args.n, args.i))
+        # a csv matrix of no column is blank lines, as is the separator
+        if csv and args.n == 1:
+            raise InvalidInputError("csv cannot delimit the zero-column W-objects of n = 1")
     count = 0
     for obj in itertools.islice(stream, args.limit):
         count += 1

@@ -13,10 +13,12 @@ stream; ``enum_triangles`` stacks rows from it.
 ``signed_count`` runs one DP over distinct rows of either class and reads
 every count, its own row's too, through one door, ``_lookup``: a bounded
 LRU cache keyed by the kernel and the gap word as read.  Rows of one or two
-entries have a closed form; for a longer word ``_key`` alone decides the
-word the DP counts and its sign: the word or its reverse (the mirror
-image), whichever puts the wider end gap in front, or for a DMT row under
-``sc`` a rotation, with sign 0 where the rotation shows the count is 0.
+entries have a closed form, and so have rows of three or four whose count
+is alpha: every MT row, and every DMT row under ``sc``.  For any other word
+``_key`` alone decides the word the DP counts and its sign: the word or its
+reverse (the mirror image), whichever puts the wider end gap in front, or
+for a DMT row under ``sc`` a rotation, with sign 0 where the rotation shows
+the count is 0.
 ``_count(kernel, gaps)`` counts a key by the rules in its docstring: from
 the rows above its rest or its rest's rest, or from narrower first gaps,
 so no count streams its own rows above or walks an end gap wider than the
@@ -244,12 +246,22 @@ def _lookup(kernel, gaps):
     read, and the only door to ``_count``.  A word of no gaps counts 1.  A
     word ``(g,)`` has g - 1 rows above, each a DMT newcomer, or one row (0)
     when g = 0, or 1 - g MT rows when g < 0: it counts ``1 - g`` under ``sc``
-    and ``|g - 1|`` else.  A longer word is read, on a miss, as ``_key``
+    and ``|g - 1|`` else.  A word of three or four entries that counts alpha,
+    every MT word and every DMT word under ``sc``, is alpha's closed form in
+    ``p_i = 1 - g_i``, from Fischer's operator formula.  A longer word, or a
+    DMT one under ``plain`` or ``pair``, is read, on a miss, as ``_key``
     decides: a key with sign 1 is counted by ``_count``, any other word is
     its sign times its key's count, read through ``_lookup``."""
     n = len(gaps) + 1
     if n < 3:
         return 1 if n == 1 else 1 - gaps[0] if kernel == "sc" else abs(gaps[0] - 1)
+    if n < 5 and (kernel == "sc" or gaps[0] < 0):
+        p = [1 - g for g in gaps]
+        if n == 3:
+            return (p[0] * p[1] * (p[0] + p[1]) - 2) // 2
+        p1, p2, p3 = p
+        return (p1 * p2 * p3 * (p1 + p2) * (p2 + p3) * (p1 + p2 + p3) - 2 * (p1 + p2) ** 3
+                - 2 * (p2 + p3) ** 3 + 4 * p2 ** 3 - 12 * p1 * p2 * p3 + 14 * (p1 + p3)) // 12
     key, sign = _key(kernel, gaps)
     if key == gaps and sign == 1:
         return _count(kernel, gaps)
@@ -258,11 +270,12 @@ def _lookup(kernel, gaps):
 
 def _count(kernel, gaps):
     """DP over distinct rows of either class; ``gaps`` is a key of three or
-    more entries, made and read by ``_lookup`` alone, and every row it sums
-    is read through ``_lookup`` and weighed by ``kernel``: ``plain`` 1,
-    ``sc`` (-1)^sc, ``pair`` (-1) to the number of pair values the row shares
-    with the row below, which dd and dd_bar share.  Every weight is 1 on MT
-    rows, which have neither pairs nor sign changes.
+    more entries with no closed form, made and read by ``_lookup`` alone,
+    and every row it sums is read through ``_lookup`` and weighed by
+    ``kernel``: ``plain`` 1, ``sc`` (-1)^sc, ``pair`` (-1) to the number of
+    pair values the row shares with the row below, which dd and dd_bar
+    share.  Every weight is 1 on MT rows, which have neither pairs nor sign
+    changes.
 
     A key ``(k1,) + R`` of n entries with first gap ``w = |k1 - k2|`` at
     most n sums its rows above in two blocks, built from narrower first

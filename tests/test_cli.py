@@ -56,8 +56,9 @@ def test_alpha_out_of_memory(capsys, monkeypatch):
 
 @pytest.mark.parametrize("row", ["100000000000000,99999999999995,3,3,1", "0,1,2000,2001,4000,4001"])
 def test_alpha_wide_inner_gap_stops_at_budget(capsys, row):
-    # a wide inner gap is not extrapolated: the rows above a row with gaps g,
-    # at most the product of |g| + 1, are bounded before any is built
+    # a wide inner gap of a row of 5 or more entries is not extrapolated: the
+    # rows above a row with gaps g, at most the product of |g| + 1, are
+    # bounded before any is built
     start = time.perf_counter()
     code, out, err = run(capsys, "alpha", "--row", row)
     assert time.perf_counter() - start < 1
@@ -119,12 +120,19 @@ def test_enum_triangles_refuse_csv_whatever_the_limit(capsys, cls, row):
     assert code == 0 and int(out) > 0
 
 
-def test_enum_wni_csv_zero_columns(capsys):
-    # the 1 x 0 W-object for (1, 1): its csv, one blank line, then the separator
-    code, out, _ = run(capsys, "enum", "--class", "wni", "--n", "1", "--i", "1",
-                       "--format", "csv")
-    assert code == 0 and out == "\n\n"
-    assert deserialize(out[:1], "matrix") == SignMatrix(((),))
+def test_enum_wni_refuses_csv_for_zero_columns(capsys):
+    # the 1 x 0 W-object for (1, 1) is one blank csv line, as is the separator
+    # after it, so a stream of them cannot be read back: refused before any is
+    # made, printed or not.  Its count and its json stay
+    wni = ["enum", "--class", "wni", "--n", "1", "--i", "1"]
+    for limit in ([], ["--limit", "0"], ["--limit", "1"]):
+        code, out, err = run(capsys, *wni, "--format", "csv", *limit)
+        assert (code, out) == (2, "") and "csv" in err, limit
+    assert run(capsys, *wni, "--format", "csv", "--count-only")[:2] == (0, "1\n")
+    code, out, _ = run(capsys, *wni, "--format", "json")
+    assert code == 0 and deserialize(out.encode(), "matrix") == SignMatrix(((),))
+    code, out, _ = run(capsys, "enum", "--class", "wni", "--n", "2", "--i", "1", "--format", "csv")
+    assert code == 0 and out == "1\n1\n0\n\n"  # one column: the one 3 x 1 W-object
 
 
 def test_enum_negative_limit(capsys):

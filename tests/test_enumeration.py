@@ -45,6 +45,7 @@ from monotri.machines import (
 from monotri.transform import BijectionKind, matrix_to_triangle
 
 from golden import ASM_COUNTS, DMTS_63321, STAIRCASE_TABLE, W43_MATRIX, dmt_bottom, mt_bottom
+from test_evaluate import counting_states
 from test_machines import _asm_word_prose, _modified_row_prose, _two_asm_prose
 
 
@@ -450,6 +451,28 @@ def test_narrow_first_gap_counts_on_cold_memo():
         enumeration.clear_caches()
 
 
+def test_short_alpha_words_are_closed_forms(monkeypatch):
+    # a word of 3 or 4 entries that counts alpha, every MT word and every DMT
+    # word under sc, is answered by alpha's closed form before any key is
+    # chosen.  Each form is a polynomial of total degree 3 or 6 in the gaps,
+    # and seven values per entry exceed either degree, so every integer row
+    # k + (0,) with k from -3..3, mixed signs and triples included, fixes
+    # both against the operator recursion.  Words that are not MT count alpha
+    # only under sc
+    def refused(*key):
+        raise AssertionError(key)
+
+    monkeypatch.setattr(enumeration, "_key", refused)
+    monkeypatch.setattr(enumeration, "_count", refused)
+    rows = [k + (0,) for m in (2, 3) for k in product(range(-3, 4), repeat=m)]
+    assert len(rows) == 392
+    lookup = enumeration._lookup.__wrapped__
+    for k in rows:
+        gaps, want = gap_word(k), alpha(k, AlphaMethod.OPERATOR_RECURSION)
+        for kernel in ("sc", "plain", "pair") if gaps[0] < 0 else ("sc",):
+            assert lookup(kernel, gaps) == want, (k, kernel)
+
+
 def lagrange_at(points, x):
     """The value at ``x`` of the polynomial through ``points``, exactly."""
     total = Fraction(0)
@@ -473,20 +496,32 @@ def lagrange_at(points, x):
     (-10**6, (0, 2, 3, 4, 6)),
     (-1000, (0, 1, 2, 20)),  # the back gap is wider than the row too
 ])
-def test_wide_first_gap_matches_polynomial(k1, rest):
+def test_wide_first_gap_matches_polynomial(monkeypatch, k1, rest):
     # every kernel's count has degree <= n - 1 in k1 (Fischer 2006 for sc),
     # so its values at the n narrowest first gaps, by the oracle, fix it at
     # any k1; a gap in the thousands must not deepen the recursion.  A first
-    # entry below the rest makes an MT row, on which every kernel counts
+    # entry below the rest makes an MT row, on which every kernel counts.
+    # The DP extrapolates a key of first gap w > n; a row of 3 or 4 entries
+    # that counts alpha is a closed form and makes no key at all
     n = len(rest) + 1
     cls, step = (TriangleClass.DMT, 1) if k1 > rest[0] else (TriangleClass.MT, -1)
-    for kernel, statistic in (("sc", "sc"), ("plain", "plain"), ("pair", "dd_bar")):
-        count = stream_dp(cls, kernel)
-        points = [(a, count((a,) + rest)) for a in range(rest[0] + step, rest[0] + step * (n + 1), step)]
-        want = lagrange_at(points, k1)
-        assert signed_count((k1,) + rest, cls, statistic) == want, kernel
-        if kernel == "sc":
-            assert alpha((k1,) + rest) == want
+    keys = counting_states(monkeypatch)
+    try:
+        for kernel, statistic in (("sc", "sc"), ("plain", "plain"), ("pair", "dd_bar")):
+            count = stream_dp(cls, kernel)
+            points = [(a, count((a,) + rest))
+                      for a in range(rest[0] + step, rest[0] + step * (n + 1), step)]
+            want = lagrange_at(points, k1)
+            enumeration.clear_caches()
+            keys.clear()
+            assert signed_count((k1,) + rest, cls, statistic) == want, kernel
+            closed = n < 5 and (kernel == "sc" or cls is TriangleClass.MT)
+            wide = any(abs(gaps[0]) > len(gaps) + 1 for _, gaps in keys)
+            assert (not keys) if closed else wide, kernel
+            if kernel == "sc":
+                assert alpha((k1,) + rest) == want
+    finally:
+        enumeration.clear_caches()
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 from itertools import product
 
 import pytest
@@ -510,9 +511,10 @@ def counting_states(monkeypatch):
 def test_dp_state_counts(monkeypatch):
     # pins the DP's state space: one count per distinct row up to
     # translation and mirroring, and under sc (the staircase) up to rotation
-    # too.  The transitions are the rows a state sums, all above its rest or
-    # the rest of that, read from the rows-above memo.  The rows streamed are
-    # those predecessors made to fill it, and the kernel makes no other row
+    # too, but none for a row of 3 or 4 entries, which is a closed form.  The
+    # transitions are the rows a state sums, all above its rest or the rest
+    # of that, read from the rows-above memo.  The rows streamed are those
+    # predecessors made to fill it, and the kernel makes no other row
     streamed, summed, made = [], [], []
     checked, kernel, above = enumeration.predecessors, enumeration._rows_above, enumeration._above
     states = counting_states(monkeypatch)
@@ -538,8 +540,8 @@ def test_dp_state_counts(monkeypatch):
     monkeypatch.setattr(enumeration, "_above", reading)
     try:
         for row, keys, transitions, rows_streamed in (
-                (tuple(range(11, 0, -1)), 139, 494, 312),
-                ((0, 3, 5, 8, 10, 13), 319, 5201, 2445)):
+                (tuple(range(11, 0, -1)), 133, 488, 311),
+                ((0, 3, 5, 8, 10, 13), 156, 4347, 2047)):
             evaluate.clear_caches()
             for seen in (states, streamed, summed, made):
                 seen.clear()
@@ -648,6 +650,15 @@ def test_mt_dp_against_row_stream():
 def test_wide_increasing_rows():
     assert alpha(tuple(range(2, 17, 2))) == 8878734657276
     assert alpha((1, 5, 9, 14, 20, 30)) == 1279985542406
+
+
+def test_wide_four_entry_row_is_a_closed_form():
+    # a 4-entry monotone row is alpha's closed form at any width: no DP
+    # state sums the 100000 rows above its rest
+    evaluate.clear_caches()
+    start = time.perf_counter()
+    assert alpha((0, 1, 100000, 100001)) == 33336000046666400002
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.long
