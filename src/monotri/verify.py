@@ -9,7 +9,14 @@ detail rows, default and largest supported parameters, the parameter
 largest value, which leave opt-in checks out.  Parameters are integers by
 ``core``'s rule; one outside ``[0, largest]`` gives a Skipped report, and
 so does a run that yields no detail rows.
-``lemma2`` draws its samples from its ``seed`` parameter.
+``lemma2`` draws its samples from its ``seed`` parameter, all at once: the
+bottom rows with one weighted ``random.choices`` call over every weakly
+decreasing row of 2..max_len entries from 1..max_entry with no triple, at
+the law of drawing m uniform in 2..max_len and m uniform entries, sorted,
+and drawing again on a triple (``_lemma2_rows``); then, for each sample, a
+polynomial in len(row) - 1 variables of 1, 2 or 3 terms, uniform, each with
+a coefficient uniform in -3..3 read as 1 at 0 and exponents uniform in 0..2,
+drawn in one call per kind.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import functools
 import math
 import random
 import time
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice, product
 from typing import Callable, Iterator, NamedTuple
 
 from . import enumeration, exactla, transform
@@ -168,35 +175,47 @@ def _run_vanishing(params):
             yield (f"alpha{k} = 0", 0, alpha(k, AlphaMethod.OPERATOR_RECURSION))
 
 
-def _random_poly(rng, nvars):
-    terms = []
-    for _ in range(rng.randint(1, 3)):
-        coef = rng.randint(-3, 3) or 1
-        exps = tuple(rng.randint(0, 2) for _ in range(nvars))
-        terms.append((coef, exps))
-
-    def poly(*args):
-        return sum(c * math.prod(map(pow, args, exps)) for c, exps in terms)
-
-    return poly
+# a coefficient uniform in -3..3, with 0 read as 1
+_LEMMA2_COEFS = (-3, -2, -1, 1, 1, 2, 3)
 
 
-def _random_wdec_row(rng, max_len, hi):
-    while True:
-        m = rng.randint(2, max_len)
-        row = tuple(sorted((rng.randint(1, hi) for _ in range(m)), reverse=True))
-        if not has_triple(row):
-            return row
+def _poly_value(terms, *args):
+    return sum([c * math.prod(map(pow, args, exps)) for c, exps in terms])
+
+
+def _lemma2_rows(max_len, hi):
+    """Every weakly decreasing row of 2..max_len entries from 1..hi with no
+    triple, and its weight under the rejection sampler that draws m uniform
+    in 2..max_len and m uniform entries, sorts them and redraws on a triple:
+    a row of m entries, v of them distinct, is m!/2^(m-v) of the hi^m draws
+    of m entries, scaled by hi^(max_len-m) to a common denominator."""
+    rows, weights = [], []
+    for m in range(2, max_len + 1):
+        scale = hi ** (max_len - m)
+        for row in combinations_with_replacement(range(hi, 0, -1), m):
+            if not has_triple(row):
+                rows.append(row)
+                weights.append((math.factorial(m) >> (m - len(set(row)))) * scale)
+    return rows, weights
 
 
 def _run_lemma2(params):
-    if params["max_len"] < 2 or params["max_entry"] < 1:
+    samples, max_len = params["samples"], params["max_len"]
+    rows, weights = _lemma2_rows(max_len, params["max_entry"])
+    if not rows:
         return  # no row of two or more entries from 1..max_entry
     rng = random.Random(params["seed"])
+    bottoms = rng.choices(rows, weights, k=samples)
+    counts = rng.choices((1, 2, 3), k=samples)
+    coefs = rng.choices(_LEMMA2_COEFS, k=sum(counts))
+    # a uniform vector's digits are independent, so its cut to a row's arity is uniform
+    exps = rng.choices(tuple(product(range(3), repeat=max_len - 1)), k=len(coefs))
+    terms = zip(coefs, exps)
     signed_rows = {}
-    for s in range(params["samples"]):
-        k = _random_wdec_row(rng, params["max_len"], params["max_entry"])
-        poly = _random_poly(rng, len(k) - 1)
+    for s, (k, count) in enumerate(zip(bottoms, counts)):
+        arity = len(k) - 1
+        poly = functools.partial(
+            _poly_value, tuple([(c, e[:arity]) for c, e in islice(terms, count)]))
         if k not in signed_rows:
             signed_rows[k] = [(row, -1 if sc % 2 else 1)
                               for row, sc in enumeration.predecessors(k, TriangleClass.DMT)]
