@@ -79,9 +79,6 @@ class SignMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def columns(self):
         return list(zip(*self.entries))
 
@@ -100,8 +97,13 @@ class RowSeqClass(Enum):
 class StatRecord:
     """Per-triangle statistics of a decreasing monotone triangle.
 
-    ``sc`` always equals ``newcomers + sum(pairs_per_row[:-1])`` and
-    ``dd == dd_bar + pairs_per_row[-1]``.
+    ``pairs_per_row[i]`` counts the values row i holds twice.  Each value of
+    a row but the last makes a step (c, c'): its count there and in the row
+    below.  The rest are read off a tally of those steps:
+
+    ``newcomers`` (1, 0), ``peaks`` (1, 2), ``dd_bar`` (2, 2);
+    ``base_pairs`` (2, 1) and ``dd`` (2, 2), each plus the bottom row's pairs;
+    ``sc`` (1, 0) plus the pairs of every row but the last.
     """
 
     pairs_per_row: tuple[int, ...]
@@ -243,35 +245,22 @@ def _pair_values(row) -> set:
 
 
 def triangle_stats(t: TriangularArray) -> StatRecord:
-    """All sign statistics of a DMT, computed in one pass over the rows."""
+    """All sign statistics of a DMT, read off one tally of count steps: each
+    value v of a row but the last steps from its count in that row to its
+    count in the row below (see ``StatRecord`` for the table)."""
     if not validate_dmt(t):
         raise InvalidInputError("not a decreasing monotone triangle")
-    rows = t.rows
-    counts = [Counter(row) for row in rows]
-    pairs_per_row = tuple(sum(1 for a, b in zip(row, row[1:]) if a == b) for row in rows)
-    newcomers = 0
-    sc = 0
-    dd_bar = 0
-    peaks = 0
-    base_pairs = pairs_per_row[-1]
-    for i in range(len(rows) - 1):
-        p, nc = transition_stats(rows[i + 1], rows[i])
-        sc += p + nc
-        newcomers += nc
-        below = counts[i + 1]
-        for v, c in counts[i].items():
-            if c == 2:
-                dd_bar += below[v] == 2
-                base_pairs += below[v] == 1
-            elif below[v] == 2:
-                peaks += 1
-    dd = dd_bar + pairs_per_row[-1]
+    counts = [Counter(row) for row in t.rows]
+    steps = Counter([(c, lower[v]) for upper, lower in zip(counts, counts[1:])
+                     for v, c in upper.items()])
+    pairs_per_row = tuple([sum(c == 2 for c in cnt.values()) for cnt in counts])
+    bottom_pairs = pairs_per_row[-1]
     return StatRecord(
         pairs_per_row=pairs_per_row,
-        newcomers=newcomers,
-        peaks=peaks,
-        base_pairs=base_pairs,
-        dd=dd,
-        dd_bar=dd_bar,
-        sc=sc,
+        newcomers=steps[1, 0],
+        peaks=steps[1, 2],
+        base_pairs=steps[2, 1] + bottom_pairs,
+        dd=steps[2, 2] + bottom_pairs,
+        dd_bar=steps[2, 2],
+        sc=steps[1, 0] + sum(pairs_per_row[:-1]),
     )

@@ -8,7 +8,8 @@ prefix carries its run length and sign count, so the multiplicity and
 singleton rules and ``pairs + newcomers`` are settled as the row grows; it
 extends in place while its next entry has one value, and is pushed only
 where the row branches.  ``predecessors`` checks its row and returns that
-stream; ``enum_triangles`` stacks rows from it.
+stream; ``enum_triangles`` walks its rows up from the bottom row with
+``machines._paths``, the walker the sign matrices share.
 
 ``signed_count`` runs one DP over distinct rows of either class and reads
 every count, its own row's too, through one door, ``_lookup``: a bounded
@@ -156,15 +157,6 @@ def _rows_above(k, cls):
             j += 1
 
 
-def _towers(bottom, cls):
-    if len(bottom) == 1:
-        yield (bottom,)
-        return
-    for row, _ in predecessors(bottom, cls):
-        for tower in _towers(row, cls):
-            yield tower + (bottom,)
-
-
 def enum_triangles(bottom, cls: TriangleClass):
     """All triangles of the class with the given bottom row, built by
     iterated predecessor rows (branches that cannot reach the apex die)."""
@@ -172,9 +164,17 @@ def enum_triangles(bottom, cls: TriangleClass):
 
 
 def _checked_triangles(bottom, cls):
+    """``machines._paths`` up from the bottom row, each move a row above
+    from ``predecessors``, which checks every row it is given: a path is the
+    rows above, bottom up.  No move list is kept, as the distinct rows above
+    can grow exponentially with the spread."""
     validator = validate_monotone if cls is TriangleClass.MT else validate_dmt
-    for tower in _towers(bottom, cls):
-        t = TriangularArray(tower)
+
+    def moves(r, row):
+        return ((above, above) for above, _ in predecessors(row, cls))
+
+    for path in machines._paths(bottom, len(bottom) - 1, moves):
+        t = TriangularArray((*path[::-1], bottom))
         if not validator(t):
             raise InternalError(f"enumerated an invalid {cls.value} triangle {t.rows}")
         yield t
@@ -355,8 +355,7 @@ def _signed_count(bottom, cls, statistic, shape):
     value = _lookup("pair" if statistic.startswith("dd") else statistic, _gaps(bottom))
     if statistic != "dd_with_prefactor":
         return value
-    pairs = sum(1 for a, b in zip(bottom, bottom[1:]) if a == b)
-    exponent = math.comb(len(bottom), 2) + pairs
+    exponent = math.comb(len(bottom), 2) + len(_pair_values(bottom))
     return -value if exponent % 2 else value
 
 

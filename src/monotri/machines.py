@@ -21,7 +21,10 @@ accept state, and ``backtrack`` builds matrices row by row with one machine
 state per column, pruned by that table; ``generate`` is its one-column
 case.  It lists the moves of each row from each tuple of column states
 once per call, with one shared tuple per state vector, in a table that dies
-with the call.  Machines are named by id.
+with the call, and walks them with ``_paths``: the package's one
+depth-first walker, over a stack of move iterators, which
+``enumeration.enum_triangles`` runs too, its moves the rows above.
+Machines are named by id.
 """
 
 from __future__ import annotations
@@ -133,6 +136,27 @@ def reach_table(machine, length: int):
     return table
 
 
+def _paths(start, height, moves):
+    """The label tuples of every path of ``height`` moves from ``start``,
+    depth first in the order of ``moves(r, state)``, the ``(label, next
+    state)`` pairs of move ``r``: a stack of move iterators, no recursion."""
+    if not height:
+        yield ()
+        return
+    stack = [iter(moves(0, start))]
+    path = []  # the labels taken in moves 0 .. len(stack) - 2
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            path[-1:] = []
+        elif len(stack) == height:
+            yield (*path, step[0])
+        else:
+            path.append(step[0])
+            stack.append(iter(moves(len(stack), step[1])))
+
+
 def backtrack(column_machine, width: int, row_words):
     """Matrices whose row ``r`` is taken from ``row_words[r]`` (words of
     length ``width``) and whose columns the column machine accepts, as
@@ -141,15 +165,16 @@ def backtrack(column_machine, width: int, row_words):
     tuple of states are the words that leave every column able to reach an
     accept state in the rows left, each with the states after it.  They are
     found once per ``(r, states)`` and call, one shared tuple per distinct
-    state vector, and a stack of iterators walks these lists."""
+    state vector, and ``_paths`` walks them."""
     trans = _spec(column_machine).table
     height = len(row_words)
     table = reach_table(column_machine, height)
     if width and not table[height][0]:
-        return
+        return iter(())
     shared = {}
     found = {}
 
+    # not self-referring, so the table dies with the walker, not in a cycle
     def moves(r, col_states):
         out = found.get((r, col_states))
         if out is None:
@@ -168,23 +193,7 @@ def backtrack(column_machine, width: int, row_words):
             out = found[r, col_states] = tuple(out)
         return out
 
-    if not height:
-        yield ()
-        return
-    # a stack of move iterators, one per row, and no recursive closure:
-    # the table is freed with the generator, not by a cycle collection
-    stack = [iter(moves(0, (0,) * width))]
-    path = []  # the words taken in rows 0 .. len(stack) - 2
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            path[-1:] = []
-        elif len(stack) == height:
-            yield (*path, step[0])
-        else:
-            path.append(step[0])
-            stack.append(iter(moves(len(stack), step[1])))
+    return _paths((0,) * width, height, moves)
 
 
 def generate(machine, length: int):

@@ -83,6 +83,14 @@ def test_enum_count_only(capsys):
     assert code == 0 and out.strip() == "5"
 
 
+def test_enum_deep_triangle_row(capsys):
+    # 1200 rows are walked over a stack, not by a call per row
+    row = ",".join(map(str, range(1, 1201)))
+    code, out, _ = run(capsys, "enum", "--class", "mt", "--row", row, "--limit", "1",
+                       "--count-only")
+    assert code == 0 and out.strip() == "1"
+
+
 def test_enum_json_stream(capsys):
     code, out, _ = run(capsys, "enum", "--class", "asm", "--n", "2", "--format", "json")
     assert code == 0

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -7,6 +8,8 @@ from monotri import (
     InvalidInputError,
     RowSeqClass,
     SignMatrix,
+    StatRecord,
+    TriangleClass,
     TriangularArray,
     W_number,
     X_number,
@@ -14,6 +17,7 @@ from monotri import (
     build_matrix,
     classify_row_sequence,
     enum_matrices,
+    enum_triangles,
     enum_wni_objects,
     forward_difference_power,
     generate,
@@ -26,7 +30,7 @@ from monotri import (
 from monotri.core import _dmt_counts
 from monotri.machines import ASM_WORD, reach_table
 
-from golden import DMT_8, DMTS_63321, DMTS_63321_DD, MT5_ROWS
+from golden import DMT_8, DMTS_63321, DMTS_63321_DD, MT5_ROWS, dmt_bottom
 
 
 def test_triangle_shape_enforced():
@@ -325,21 +329,71 @@ def _local_ok_top(rows):
     return all(lower[j] >= upper[j] >= lower[j + 1] for j in range(len(upper)))
 
 
-def test_stat_invariants_exhaustive():
-    # over every DMT with a weakly decreasing bottom row in [1,4], n <= 4
+def _grid_dmts():
+    """Every DMT with a weakly decreasing bottom row in [1,4], n <= 4."""
     for m in range(1, 5):
         for bottom in product(range(4, 0, -1), repeat=m):
             if any(a < b for a, b in zip(bottom, bottom[1:])):
                 continue
             if any(bottom.count(v) > 2 for v in bottom):
                 continue
-            for rows in _dmts_brute(bottom, 1, 4):
-                st = triangle_stats(TriangularArray(rows))
-                n = len(rows)
-                assert st.sc == st.newcomers + sum(st.pairs_per_row[:-1])
-                assert st.peaks == st.base_pairs
-                assert (-1) ** st.sc == (-1) ** (n * (n - 1) // 2 + st.dd)
-                assert st.dd == st.dd_bar + st.pairs_per_row[-1]
+            yield from _dmts_brute(bottom, 1, 4)
+
+
+def test_stat_invariants_exhaustive():
+    for rows in _grid_dmts():
+        st = triangle_stats(TriangularArray(rows))
+        n = len(rows)
+        assert st.sc == st.newcomers + sum(st.pairs_per_row[:-1])
+        assert st.peaks == st.base_pairs
+        assert (-1) ** st.sc == (-1) ** (n * (n - 1) // 2 + st.dd)
+        assert st.dd == st.dd_bar + st.pairs_per_row[-1]
+
+
+def _stats_oracle(rows) -> StatRecord:
+    """Every statistic read by position, the oracle for the count-step tally
+    of ``triangle_stats``: pairs as adjacent equal entries, ``sc`` and
+    newcomers from ``transition_stats`` on each pair of rows, and dd_bar,
+    base pairs and peaks by comparing value counts row against row."""
+    counts = [Counter(row) for row in rows]
+    pairs_per_row = tuple(sum(1 for a, b in zip(row, row[1:]) if a == b) for row in rows)
+    newcomers = 0
+    sc = 0
+    dd_bar = 0
+    peaks = 0
+    base_pairs = pairs_per_row[-1]
+    for i in range(len(rows) - 1):
+        p, nc = transition_stats(rows[i + 1], rows[i])
+        sc += p + nc
+        newcomers += nc
+        below = counts[i + 1]
+        for v, c in counts[i].items():
+            if c == 2:
+                dd_bar += below[v] == 2
+                base_pairs += below[v] == 1
+            elif below[v] == 2:
+                peaks += 1
+    dd = dd_bar + pairs_per_row[-1]
+    return StatRecord(pairs_per_row, newcomers, peaks, base_pairs, dd, dd_bar, sc)
+
+
+def test_triangle_stats_match_positional_oracle():
+    # every DMT of the exhaustive grid, and every one on the doubled
+    # staircases (n, n, ..., 1, 1) for n <= 4, the 2-ASMs read as DMTs
+    dmts = list(_grid_dmts())
+    dmts += [t.rows for n in range(1, 5) for t in enum_triangles(dmt_bottom(n), TriangleClass.DMT)]
+    seen = Counter()
+    for rows in dmts:
+        st = triangle_stats(TriangularArray(rows))
+        assert st == _stats_oracle(rows), rows
+        seen["peaks"] += st.peaks > 0
+        seen["dd_bar"] += st.dd_bar > 0
+        seen["newcomers"] += st.newcomers > 0
+        seen["bottom pairs"] += st.pairs_per_row[-1] > 0
+    # the tallies pin the case set: each step key is met, and so are pairs
+    # in the bottom row
+    assert len(dmts) == 60 + 68
+    assert seen == {"peaks": 120, "dd_bar": 105, "newcomers": 47, "bottom pairs": 116}
 
 
 def test_bottom_pair_parity():

@@ -7,7 +7,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
 from operator import sub
 from pathlib import Path
 
@@ -18,6 +18,7 @@ from monotri import (
     InvalidInputError,
     SignMatrix,
     TriangleClass,
+    TriangularArray,
     W_number,
     alpha,
     enum_matrices,
@@ -285,6 +286,53 @@ def test_enum_triangles_all_valid():
         for t in enum_triangles(bottom, cls):
             assert validator(t)
             assert t.bottom == bottom
+
+
+def _towers(bottom, cls):
+    """The towers of rows above ``bottom``, top row first, stacked by one
+    recursive call per row in the order ``predecessors`` lists each row:
+    the oracle for the order of ``enum_triangles``."""
+    if len(bottom) == 1:
+        yield (bottom,)
+        return
+    for row, _ in predecessors(bottom, cls):
+        for tower in _towers(row, cls):
+            yield tower + (bottom,)
+
+
+def test_enum_triangles_match_recursive_towers():
+    # every MT row of 2..5 entries over 0..6, and every triple-free DMT row
+    # of 2..7 entries over 1..4: the same triangles, one for one, in order
+    mt = [k for n in range(2, 6) for k in combinations(range(7), n)]
+    dmt = [k for n in range(2, 8) for k in combinations_with_replacement(range(4, 0, -1), n)
+           if max(map(k.count, k)) <= 2]
+    total = Counter()
+    for cls, rows in ((TriangleClass.MT, mt), (TriangleClass.DMT, dmt)):
+        for k in rows:
+            got = list(enum_triangles(k, cls))
+            assert got == [TriangularArray(t) for t in _towers(k, cls)], (cls, k)
+            total[cls] += len(got)
+    assert (len(mt), len(dmt)) == (112, 75)
+    assert total == {TriangleClass.MT: 76623, TriangleClass.DMT: 244}
+
+
+def test_triangle_streams_do_not_recurse_per_row():
+    # the rows above are walked over a stack, not by a call per row: under
+    # a recursion limit of 60 the first triangles of 200 rows come out, and
+    # at the default limit those of 1200 rows
+    def check_first(bottom, cls, validator):
+        t = next(enum_triangles(bottom, cls))
+        assert validator(t) and t.n == len(bottom) and t.bottom == bottom
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(60)
+    try:
+        check_first(mt_bottom(200), TriangleClass.MT, validate_monotone)
+        check_first(dmt_bottom(100), TriangleClass.DMT, validate_dmt)
+    finally:
+        sys.setrecursionlimit(limit)
+    check_first(mt_bottom(1200), TriangleClass.MT, validate_monotone)
+    check_first(dmt_bottom(600), TriangleClass.DMT, validate_dmt)
 
 
 def test_signed_count_goldens():
