@@ -34,7 +34,6 @@ from .enumeration import (
     wni_object_sign,
 )
 from .errors import (
-    AmbiguityError,
     InternalError,
     InvalidInputError,
     MonotriError,

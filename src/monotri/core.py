@@ -247,12 +247,17 @@ def _pair_values(row) -> set:
 def triangle_stats(t: TriangularArray) -> StatRecord:
     """All sign statistics of a DMT, read off one tally of count steps: each
     value v of a row but the last steps from its count in that row to its
-    count in the row below (see ``StatRecord`` for the table)."""
-    if not validate_dmt(t):
-        raise InvalidInputError("not a decreasing monotone triangle")
-    counts = [Counter(row) for row in t.rows]
+    count in the row below (see ``StatRecord`` for the table).  The same
+    tally checks the no-single-descendant rule: it has no step (1, 1)."""
+    not_dmt = "not a decreasing monotone triangle"
+    try:
+        counts = _dmt_counts(t.rows)
+    except InvalidInputError:
+        raise InvalidInputError(not_dmt) from None
     steps = Counter([(c, lower[v]) for upper, lower in zip(counts, counts[1:])
                      for v, c in upper.items()])
+    if steps[1, 1]:  # a value once in a row and once in the row below
+        raise InvalidInputError(not_dmt)
     pairs_per_row = tuple([sum(c == 2 for c in cnt.values()) for cnt in counts])
     bottom_pairs = pairs_per_row[-1]
     return StatRecord(

@@ -34,15 +34,19 @@ description, ``_matrix_class``: the machine that reads each row, the one
 that reads every column, and the width.  ``enum_matrices`` and
 ``enum_wni_objects`` run ``machines.backtrack`` from it, over the row words
 of ``machines.generate``, in row-major lexicographic order with
--1 < 0 < 1; ``is_valid_wni`` and ``transform.matrix_to_triangle`` check
-membership against it, and ``wni_object_sign`` counts steps along the
-column walks that check returns.
+-1 < 0 < 1; ``_check_member`` checks membership against it for
+``transform.matrix_to_triangle`` and ``wni_object_sign``, and returns the
+column walks.  The walk down column j of a 2-ASM visits the counts of
+value j, row by row, in its DMT, so ``wni_object_sign`` reads its sign off
+one tally of the walks' steps, with the keys of ``core.StatRecord``'s step
+table.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from itertools import accumulate
 from operator import sub
 from dataclasses import dataclass
@@ -417,26 +421,19 @@ class WniObject:
     matrix: SignMatrix
 
 
-def is_valid_wni(obj: WniObject) -> bool:
-    try:
-        _check_member(obj.matrix, "wni", obj.n, obj.i)
-    except InvalidInputError:
-        return False
-    return True
-
-
 def enum_wni_objects(n: int, i: int):
     """All W-objects for (n, i), in row-major lexicographic matrix order."""
     return (WniObject(n, i, SignMatrix(entries)) for entries in _class_members("wni", n, i))
 
 
 def wni_object_sign(obj: WniObject) -> int:
-    """(-1)^(i + n + E) where E is the total number of column machine steps
-    excluding the 0-loops taken at partial sum 0, counted along the column
-    walks of the membership check with ``parse_steps``'s rest test."""
-    table = machines.MACHINES[machines.TWO_ASM_COLUMN].table
-    edges = 0
-    for walk in _check_member(obj.matrix, "wni", obj.n, obj.i):
-        loops = sum(1 for a, b in zip(walk, walk[1:]) if a == b == 0)
-        edges += len(machines._rests(table, walk)) - 1 - loops
+    """(-1)^(i + n + E), where E counts the steps of ``parse_steps`` down the
+    columns but the 0-loops at partial sum 0: read off one tally of the
+    steps (s, s') of the column walks of the membership check, these are the
+    steps that land on a rest (0 or 2) but (0, 0), so E = #(1, 0) + #(1, 2)
+    + #(2, 2), the steps ``StatRecord``'s table calls newcomers, peaks and
+    dd_bar."""
+    steps = Counter([step for walk in _check_member(obj.matrix, "wni", obj.n, obj.i)
+                     for step in zip(walk, walk[1:])])
+    edges = steps[1, 0] + steps[1, 2] + steps[2, 2]
     return -1 if (obj.i + obj.n + edges) % 2 else 1

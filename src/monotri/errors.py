@@ -19,7 +19,3 @@ class ParseError(MonotriError, ValueError):
 
 class InternalError(MonotriError, RuntimeError):
     """An arithmetic self-check failed; indicates a bug, not bad input."""
-
-
-class AmbiguityError(MonotriError, RuntimeError):
-    """A construction that must be forced admits more than one value."""

@@ -57,10 +57,7 @@ def binomial(a: int, b: int) -> int:
     a, b = _int_entries((a, b))
     if b < 0:
         return 0
-    num = 1
-    for t in range(b):
-        num *= a - t
-    return num // math.factorial(b)
+    return math.comb(a, b) if a >= 0 else (-1) ** b * math.comb(b - a - 1, b)
 
 
 def _ext_range(a: int, b: int):

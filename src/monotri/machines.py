@@ -21,9 +21,13 @@ accept state, and ``backtrack`` builds matrices row by row with one machine
 state per column, pruned by that table; ``generate`` is its one-column
 case.  It lists the moves of each row from each tuple of column states
 once per call, with one shared tuple per state vector, in a table that dies
-with the call, and walks them with ``_paths``: the package's one
-depth-first walker, over a stack of move iterators, which
-``enumeration.enum_triangles`` runs too, its moves the rows above.
+with the call, and walks them with ``_paths``, a depth-first walker over a
+stack of move iterators, which ``enumeration.enum_triangles`` runs too, its
+moves the rows above.  ``enumeration._rows_above``, which builds each of
+those rows entry by entry, keeps its own stack of prefixes: on ``_paths``
+it streams the rows above of perfbench's alpha-cold pass in about 1.8
+times the time (24-25 ms against 13-14 ms for its 1,652 streams, CPython
+3.11 on a shared 2-core x86-64 host).
 Machines are named by id.
 """
 
@@ -85,11 +89,6 @@ def _check_word(word):
     return word
 
 
-def _rests(table, path) -> list[int]:
-    """The positions along a walk where it rests; the steps lie between them."""
-    return [j for j, state in enumerate(path) if table[state].get(0) == state]
-
-
 def _walk(spec, word):
     """Partial sums the machine visits on ``word``, start included, or None
     if it rejects the word."""
@@ -117,7 +116,8 @@ def parse_steps(machine, word) -> StepTrace:
     path = _walk(spec, word)
     if path is None:
         raise ParseError(f"word {word!r} rejected by {spec.machine_id}")
-    cuts = _rests(spec.table, path)
+    table = spec.table
+    cuts = [j for j, state in enumerate(path) if table[state].get(0) == state]
     symbols = list(map(str, word))
     tags = tuple([f"{','.join(symbols[a:b])}@{path[a]}" for a, b in zip(cuts, cuts[1:])])
     return StepTrace(tags, tags.count("0@0"))

@@ -36,7 +36,7 @@ from .core import (
     validate_monotone,
 )
 from .enumeration import _check_member
-from .errors import AmbiguityError, InternalError, InvalidInputError
+from .errors import InternalError, InvalidInputError
 
 
 class BijectionKind(Enum):
@@ -133,7 +133,7 @@ def mt_to_s1(t: TriangularArray) -> TriangularArray:
         above = below
     out = TriangularArray(tuple(rows))
     if not (validate_dmt(out) and out.bottom == _dmt_bottom(n) and _even_rows_paired(out)):
-        raise AmbiguityError("forced odd rows did not produce an S1 triangle")
+        raise InternalError(f"interleaving the rows gave no S1 triangle: {out.rows}")
     return out
 
 

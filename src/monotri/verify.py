@@ -315,26 +315,26 @@ def _run_bijection(params):
 
 
 def _run_wni_objects(params):
+    # one pass per (n, i) reads each object's sign once for both checks; the
+    # covariance rows wait until the reference rows are out
+    covariance = []
     for n in range(1, params["n_max"] + 1):
+        mirror_sign = -1 if (n - 1) % 2 else 1
         for i in range(1, 2 * n):
-            signed = sum(
-                enumeration.wni_object_sign(o) for o in enumeration.enum_wni_objects(n, i)
-            )
+            signed = total = good = 0
+            for o in enumeration.enum_wni_objects(n, i):
+                sign = enumeration.wni_object_sign(o)
+                mirrored = WniObject(n, 2 * n - i, transform.reflect_rows(o.matrix))
+                signed += sign
+                total += 1
+                good += enumeration.wni_object_sign(mirrored) == mirror_sign * sign
             yield (f"signed W-object sum = W(n,i) at n={n} i={i}", W_number(n, i), signed)
+            covariance.append((f"reflection sign covariance at n={n} i={i}", total, good))
     sample = WniObject(4, 3, SignMatrix(W43_SAMPLE))
     emitted = any(o == sample for o in enumeration.enum_wni_objects(4, 3))
     yield ("reference (4,3) object emitted", 1, int(emitted))
     yield ("reference (4,3) object sign", 1, enumeration.wni_object_sign(sample))
-    for n in range(1, params["n_max"] + 1):
-        sign = -1 if (n - 1) % 2 else 1
-        for i in range(1, 2 * n):
-            total = good = 0
-            for o in enumeration.enum_wni_objects(n, i):
-                total += 1
-                mirrored = WniObject(n, 2 * n - i, transform.reflect_rows(o.matrix))
-                if enumeration.wni_object_sign(mirrored) == sign * enumeration.wni_object_sign(o):
-                    good += 1
-            yield (f"reflection sign covariance at n={n} i={i}", total, good)
+    yield from covariance
 
 
 class _Identity(NamedTuple):

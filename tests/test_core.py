@@ -295,10 +295,10 @@ def test_triangle_stats_figures():
 
 
 def test_triangle_stats_rejects_non_dmt():
-    with pytest.raises(InvalidInputError):
-        triangle_stats(TriangularArray(MT5_ROWS))
-    with pytest.raises(InvalidInputError):
-        triangle_stats(TriangularArray(((2,), (2, 2), (2, 2, 2))))
+    # wrong diagonals, a triple, and a value once in two consecutive rows
+    for rows in (MT5_ROWS, ((2,), (2, 2), (2, 2, 2)), ((3,), (3, 2), (3, 3, 2))):
+        with pytest.raises(InvalidInputError, match="^not a decreasing monotone triangle$"):
+            triangle_stats(TriangularArray(rows))
 
 
 def test_triangle_stats_degenerate():

@@ -34,7 +34,7 @@ from monotri import (
     wni_object_sign,
 )
 from monotri import enumeration
-from monotri.enumeration import STATISTICS, WniObject, is_valid_wni
+from monotri.enumeration import STATISTICS, WniObject, _check_member
 from monotri.machines import (
     ASM_WORD,
     MACHINES,
@@ -610,6 +610,14 @@ def test_enum_matrices_counts():
     assert list(enum_matrices("asm", 1)) == [SignMatrix(((1,),))]
 
 
+def is_valid_wni(obj: WniObject) -> bool:
+    try:
+        _check_member(obj.matrix, "wni", obj.n, obj.i)
+    except InvalidInputError:
+        return False
+    return True
+
+
 def test_enum_matrices_against_brute_force():
     classes = [(kind, n, None) for kind in ("asm", "2asm") for n in (1, 2, 3)]
     classes += [("wni", n, i) for n in (1, 2, 3) for i in range(1, 2 * n)]
@@ -708,6 +716,22 @@ def test_wni_sign_matches_parse_steps():
                 traces = [parse_steps(TWO_ASM_COLUMN, col) for col in o.matrix.columns()]
                 edges = sum(len(t.steps) - t.sigma0_zero_loops for t in traces)
                 assert wni_object_sign(o) == (-1) ** (n + i + edges), (n, i, o)
+
+
+def test_column_walk_steps_are_the_dmt_stat_steps():
+    # a 2-ASM's column walks step through the counts of each value row by
+    # row of its DMT, so the tally of their steps (s, s') is the tally that
+    # triangle_stats reads: the bridge the W-object sign rests on
+    for n in range(1, 6):
+        count = 0
+        for m in enum_matrices("2asm", n):
+            count += 1
+            steps = Counter([step for walk in _check_member(m, "2asm", n)
+                             for step in zip(walk, walk[1:])])
+            st = triangle_stats(matrix_to_triangle(m, BijectionKind.DMT_2ASM))
+            assert (st.newcomers, st.peaks, st.dd_bar, st.base_pairs - st.pairs_per_row[-1]) == (
+                steps[1, 0], steps[1, 2], steps[2, 2], steps[2, 1]), m
+    assert count == 1061  # the 2-ASMs of size 5
 
 
 def test_wni_errors():

@@ -129,6 +129,14 @@ def test_binomial_values():
     assert binomial(4, -1) == 0
 
 
+def test_binomial_matches_falling_factorial():
+    # a(a-1)...(a-b+1)/b!, read for every integer a, and 0 for b < 0
+    for a in range(-60, 61):
+        for b in range(-3, 61):
+            want = math.prod(range(a - b + 1, a + 1)) // math.factorial(b) if b >= 0 else 0
+            assert binomial(a, b) == want, (a, b)
+
+
 @given(st.integers(-30, 30), st.integers(0, 12))
 def test_binomial_negation_identity(a, b):
     assert binomial(a, b) == (-1) ** b * binomial(b - a - 1, b)

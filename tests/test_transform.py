@@ -2,7 +2,6 @@ import pytest
 
 from monotri import (
     AlphaMethod,
-    AmbiguityError,
     BijectionKind,
     InternalError,
     InvalidInputError,
@@ -24,10 +23,11 @@ from monotri import (
     validate_monotone,
     wni_object_sign,
 )
-from monotri.enumeration import WniObject, is_valid_wni
+from monotri.enumeration import WniObject
 from monotri.machines import ASM_WORD, accepts
 
 from golden import DMT_10, TWOASM_5, W43_MATRIX, dmt_bottom, mt_bottom
+from test_enumeration import is_valid_wni
 from test_machines import _s1_column_prose
 
 
@@ -151,7 +151,7 @@ def test_triangle_functions_reject_the_same_inputs(fn, rows):
 
 
 def test_mt_to_s1_output_self_check(monkeypatch):
-    # each part of the check on the built S1 triangle raises AmbiguityError
+    # each part of the check on the built S1 triangle raises InternalError
     from monotri import transform
 
     t = TriangularArray(((2,), (1, 3), (1, 2, 3)))
@@ -162,7 +162,7 @@ def test_mt_to_s1_output_self_check(monkeypatch):
     ):
         with monkeypatch.context() as m:
             m.setattr(transform, name, broken)
-            with pytest.raises(AmbiguityError):
+            with pytest.raises(InternalError):
                 mt_to_s1(t)
     assert is_s1(mt_to_s1(t))
 
