@@ -58,8 +58,8 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_enum(args) -> int:
-    if args.limit is not None and args.limit < 0:
-        raise InvalidInputError(f"--limit must be non-negative, got {args.limit}")
+    if args.limit is not None and not 0 <= args.limit <= sys.maxsize:
+        raise InvalidInputError(f"--limit must be in [0, {sys.maxsize}], got {args.limit}")
     cls, csv = args.cls, args.format == "csv" and not args.count_only
     if cls in ("mt", "dmt"):
         if args.row is None:

@@ -1,15 +1,15 @@
 """Exhaustive streams and memoized signed counting of monotone triangles,
 decreasing monotone triangles, ASMs, 2-ASMs and W-objects.
 
-Triangles rest on one kernel, ``_rows_above``: a depth-first stream, over
-an explicit stack of prefixes, of the rows directly above a bottom row with
-their sign contribution, in lexicographically decreasing order.  A DMT
-prefix carries its run length and sign count, so the multiplicity and
+Triangles rest on one kernel, ``_rows_above``: a depth-first stream of
+the rows directly above a bottom row with their sign contribution, in
+lexicographically decreasing order, grown on one list with an explicit
+stack of the choices (prefix length, value) where it branches.  A DMT
+choice carries its run length and sign count, so the multiplicity and
 singleton rules and ``pairs + newcomers`` are settled as the row grows; it
-extends in place while its next entry has one value, and is pushed only
-where the row branches.  ``predecessors`` checks its row and returns that
-stream; ``enum_triangles`` walks its rows up from the bottom row with
-``machines._paths``, the walker the sign matrices share.
+extends in place while its next entry has one value.  ``predecessors``
+checks its row and returns that stream; ``enum_triangles`` walks its rows
+up from the bottom row with ``machines._paths``, the sign matrices' walker.
 
 ``signed_count`` runs one DP over distinct rows of either class and reads
 every count, its own row's too, through one door, ``_lookup``: a bounded
@@ -32,9 +32,9 @@ stream.
 Each sign-matrix class (ASMs, 2-ASMs and the W-objects for (n, i)) has one
 description, ``_matrix_class``: the machine that reads each row, the one
 that reads every column, and the width.  ``enum_matrices`` and
-``enum_wni_objects`` run ``machines.backtrack`` from it, over the row words
-of ``machines.generate``, in row-major lexicographic order with
--1 < 0 < 1; ``_check_member`` checks membership against it for
+``enum_wni_objects`` run ``machines.backtrack`` on it as it stands, which
+walks each row's machine as the columns allow, in row-major lexicographic
+order with -1 < 0 < 1; ``_check_member`` checks membership against it for
 ``transform.matrix_to_triangle`` and ``wni_object_sign``, and returns the
 column walks.  The walk down column j of a 2-ASM visits the counts of
 value j, row by row, in its DMT, so ``wni_object_sign`` reads its sign off
@@ -111,54 +111,57 @@ def predecessors(k, cls: TriangleClass):
 
 
 def _rows_above(k, cls):
-    """Depth-first stream of ``predecessors``: prefixes wait on a stack,
-    pushed smallest first; the rows completing one prefix go out together.
-    A DMT prefix grows without the stack while its next entry is forced, as
-    under every pair of ``k``."""
+    """Depth-first stream of ``predecessors`` on one row list.  Where the row
+    branches, its choices (prefix length, last value, ...) wait on a stack,
+    pushed smallest first; a popped one cuts the row back to its prefix, and
+    the rows completing one prefix go out together.  A DMT row grows without
+    the stack while its next entry is forced, as under every pair of ``k``."""
     m = len(k) - 1
+    row, stack = [], []
     if cls is TriangleClass.MT:
-        stack = [((), k[0] - 1)]  # (prefix, its last value)
-        while stack:
-            row, last = stack.pop()
-            j = len(row)
+        j, last = 0, k[0] - 1
+        while True:
             lo = k[j] + (last == k[j])
             if j < m - 1:
-                stack += [(row + (v,), v) for v in range(lo, k[j + 1] + 1)]
+                stack += [(j + 1, v) for v in range(lo, k[j + 1] + 1)]
             else:
-                yield from [(row + (v,), 0) for v in range(k[m], lo - 1, -1)]
-        return
+                prefix = tuple(row)
+                yield from [(prefix + (v,), 0) for v in range(k[m], lo - 1, -1)]
+            if not stack:
+                return
+            j, last = stack.pop()
+            row[j - 1:] = [last]
     # single[j]: k_j occurs once in k, read off its neighbours.  A run begun
     # at a singleton k_j could neither pair nor close, so none is begun there;
-    # one begun at a singleton k_{j+1} must pair next.  A prefix grows in place
+    # one begun at a singleton k_{j+1} must pair next.  A row grows in place
     # while its next entry has one value; it never has none, as k has no triple.
     single = [a != b != c for a, b, c in zip((None,) + k, k, k[1:] + (None,))]
-    # (prefix, last value, last run length, sc so far), from the empty prefix
-    stack = [((), None, 2, 0)]
-    while stack:
-        row, last, run, sc = stack.pop()
-        j = len(row)
-        while True:
-            hi, lo = k[j], k[j + 1]
-            pair = last == hi and run == 1
-            # new runs take the values lo..top, top >= lo - 1
-            top = lo - 1 if pair and single[j] else hi - (last == hi or single[j])
-            if j == m - 1:
-                if pair:
-                    yield row + (hi,), sc + 1
-                yield from [(row + (v,), sc + (hi > v > lo))
-                            for v in range(top, lo + single[m] - 1, -1)]
-                break
-            choices = top - lo + 1 + pair
-            if choices > 1:
-                stack += [(row + (v,), v, 1, sc + (hi > v > lo)) for v in range(lo, top + 1)]
-                if pair:
-                    stack.append((row + (hi,), hi, 2, sc + 1))
-                break
+    # the prefix's length, last value, last run length and sc so far
+    j, last, run, sc = 0, None, 2, 0
+    while True:
+        hi, lo = k[j], k[j + 1]
+        pair = last == hi and run == 1
+        # new runs take the values lo..top, top >= lo - 1
+        top = lo - 1 if pair and single[j] else hi - (last == hi or single[j])
+        if j == m - 1:
+            prefix = tuple(row)
             if pair:
-                row, last, run, sc = row + (hi,), hi, 2, sc + 1
-            else:
-                row, last, run = row + (lo,), lo, 1
+                yield prefix + (hi,), sc + 1
+            yield from [(prefix + (v,), sc + (hi > v > lo))
+                        for v in range(top, lo + single[m] - 1, -1)]
+        elif top + pair > lo:
+            stack += [(j + 1, v, 1, sc + (hi > v > lo)) for v in range(lo, top + 1)]
+            if pair:
+                stack.append((j + 1, hi, 2, sc + 1))
+        else:
+            last, run, sc = (hi, 2, sc + 1) if pair else (lo, 1, sc)
+            row.append(last)
             j += 1
+            continue
+        if not stack:
+            return
+        j, last, run, sc = stack.pop()
+        row[j - 1:] = [last]
 
 
 def enum_triangles(bottom, cls: TriangleClass):
@@ -382,14 +385,6 @@ def _matrix_class(kind: str, n: int, i: int | None = None):
     raise InvalidInputError(f"unknown matrix kind {kind!r}")
 
 
-def _class_members(kind, n, i=None):
-    """Stream of the class's matrices, row-major lexicographic; checks its
-    arguments when called."""
-    row_machines, column_machine, width = _matrix_class(kind, n, i)
-    words = {m: list(machines.generate(m, width)) for m in dict.fromkeys(row_machines)}
-    return machines.backtrack(column_machine, width, [words[m] for m in row_machines])
-
-
 def _check_member(m: SignMatrix, kind: str, n: int, i: int | None = None) -> list:
     """The column machine's walk down each column of ``m``; InvalidInputError
     unless ``m`` belongs to the class."""
@@ -408,7 +403,7 @@ def _check_member(m: SignMatrix, kind: str, n: int, i: int | None = None) -> lis
 
 def enum_matrices(kind: str, n: int):
     """All ASMs (n x n) or 2-ASMs (2n x n) of size n, row-major lexicographic."""
-    return (SignMatrix(entries) for entries in _class_members(kind, n))
+    return (SignMatrix(entries) for entries in machines.backtrack(*_matrix_class(kind, n)))
 
 
 @dataclass(frozen=True)
@@ -423,7 +418,8 @@ class WniObject:
 
 def enum_wni_objects(n: int, i: int):
     """All W-objects for (n, i), in row-major lexicographic matrix order."""
-    return (WniObject(n, i, SignMatrix(entries)) for entries in _class_members("wni", n, i))
+    rows = machines.backtrack(*_matrix_class("wni", n, i))
+    return (WniObject(n, i, SignMatrix(entries)) for entries in rows)
 
 
 def wni_object_sign(obj: WniObject) -> int:

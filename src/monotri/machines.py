@@ -16,25 +16,25 @@ has none, since from there the next symbol is +-1.  The paper's composite
 steps are the pieces of a walk cut where it rests: a single symbol, or a
 pair through partial sum 1 in a 2-ASM column ((1,1) and (1,-1) from 0,
 (-1,-1) and (-1,1) from 2).  ``accepts`` and ``parse_steps`` walk a word
-through the table, ``reach_table`` records which states can still reach an
-accept state, and ``backtrack`` builds matrices row by row with one machine
-state per column, pruned by that table; ``generate`` is its one-column
-case.  It lists the moves of each row from each tuple of column states
-once per call, with one shared tuple per state vector, in a table that dies
-with the call, and walks them with ``_paths``, a depth-first walker over a
-stack of move iterators, which ``enumeration.enum_triangles`` runs too, its
-moves the rows above.  ``enumeration._rows_above``, which builds each of
-those rows entry by entry, keeps its own stack of prefixes: on ``_paths``
-it streams the rows above of perfbench's alpha-cold pass in about 1.8
-times the time (24-25 ms against 13-14 ms for its 1,652 streams, CPython
-3.11 on a shared 2-core x86-64 host).
+through the table, and ``reach_table`` records which states can still
+reach an accept state.  ``generate`` walks a machine symbol by symbol on
+``_paths``, the package's one depth-first walker (a stack of move
+iterators), pruned by that table; each state lists its symbols in
+increasing order, so the words come out lexicographic.  ``backtrack``
+builds matrices row by row with a column-machine state per column: the
+moves of row r from a tuple of states, found once per call, are that walk
+of row r's machine, taking only symbols after which their column can
+still reach an accept state in the rows left.  ``enumeration._rows_above``
+keeps its own stack on one row list: on ``_paths`` the 1,679 rows-above
+streams of perfbench's alpha-cold pass (seed 0) take 2.3 times as long, 28
+against 12 ms (CPython 3.11, shared 2-core x86-64 host).
 Machines are named by id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from operator import getitem
 
 from .core import _check_size, _is_int
 from .errors import InvalidInputError, ParseError
@@ -52,8 +52,8 @@ class MachineSpec:
     accept: frozenset
 
 
-_ASM_TABLE = {0: {0: 0, 1: 1}, 1: {0: 1, -1: 0}}
-_2ASM_TABLE = {0: {0: 0, 1: 1}, 1: {1: 2, -1: 0}, 2: {0: 2, -1: 1}}
+_ASM_TABLE = {0: {0: 0, 1: 1}, 1: {-1: 0, 0: 1}}
+_2ASM_TABLE = {0: {0: 0, 1: 1}, 1: {-1: 0, 1: 2}, 2: {-1: 1, 0: 2}}
 
 MACHINES = {
     ASM_WORD: MachineSpec(ASM_WORD, _ASM_TABLE, frozenset({1})),
@@ -157,40 +157,44 @@ def _paths(start, height, moves):
             stack.append(iter(moves(len(stack), step[1])))
 
 
-def backtrack(column_machine, width: int, row_words):
-    """Matrices whose row ``r`` is taken from ``row_words[r]`` (words of
-    length ``width``) and whose columns the column machine accepts, as
-    tuples of rows in row-major lexicographic order of the word lists.
-    Each column carries its machine state; the moves of row ``r`` from a
-    tuple of states are the words that leave every column able to reach an
-    accept state in the rows left, each with the states after it.  They are
-    found once per ``(r, states)`` and call, one shared tuple per distinct
-    state vector, and ``_paths`` walks them."""
+def _words(table, reach, width: int, allowed):
+    """The words of ``width`` symbols a machine with ``table`` accepts whose
+    symbol j is in ``allowed[j]``, lexicographic: ``_paths`` over its states,
+    pruned by ``reach``, its ``reach_table``, each state's symbols in order."""
+    def moves(j, state):
+        ok, left = allowed[j], reach[width - j - 1]
+        return [(sym, nxt) for sym, nxt in table[state].items() if sym in ok and left[nxt]]
+
+    return _paths(0, width, moves) if reach[width][0] else iter(())
+
+
+def backtrack(row_machines, column_machine, width: int):
+    """Matrices of ``width`` columns whose row r the machine
+    ``row_machines[r]`` accepts and whose columns the column machine
+    accepts, as tuples of rows in row-major lexicographic order.  The moves
+    of row r from a tuple of column states are its ``_words`` whose every
+    symbol leaves its column able to reach an accept state in the rows
+    left, each with the states after it: found once per ``(r, states)`` and
+    call, and walked by ``_paths``."""
+    tables = [_spec(m).table for m in row_machines]  # every id checked before one is hashed
     trans = _spec(column_machine).table
-    height = len(row_words)
+    height = len(tables)
     table = reach_table(column_machine, height)
+    reach = {m: reach_table(m, width) for m in dict.fromkeys(row_machines)}
     if width and not table[height][0]:
         return iter(())
-    shared = {}
+    # allowed[r][state]: symbol -> next state, a column's moves in row r that can still accept
+    allowed = [{s: {sym: t for sym, t in out.items() if left[t]} for s, out in trans.items()}
+               for left in reversed(table[:height])]
     found = {}
 
     # not self-referring, so the table dies with the walker, not in a cycle
     def moves(r, col_states):
         out = found.get((r, col_states))
         if out is None:
-            reach = table[height - r - 1]
-            out = []
-            for word in row_words[r]:
-                nxt = []
-                for state, sym in zip(col_states, word):
-                    state = trans[state].get(sym)
-                    if state is None or not reach[state]:
-                        break
-                    nxt.append(state)
-                else:
-                    nxt = tuple(nxt)
-                    out.append((word, shared.setdefault(nxt, nxt)))
-            out = found[r, col_states] = tuple(out)
+            ok = [*map(allowed[r].__getitem__, col_states)]
+            words = _words(tables[r], reach[row_machines[r]], width, ok)
+            out = found[r, col_states] = tuple([(w, tuple([*map(getitem, ok, w)])) for w in words])
         return out
 
     return _paths((0,) * width, height, moves)
@@ -198,7 +202,6 @@ def backtrack(column_machine, width: int, row_words):
 
 def generate(machine, length: int):
     """All accepted words of the given length, lexicographic (-1 < 0 < 1):
-    the one-column case of ``backtrack``."""
-    _check_size(length, "length")
-    for rows in backtrack(machine, 1, [((-1,), (0,), (1,))] * length):
-        yield tuple(chain.from_iterable(rows))
+    the row walk of ``backtrack`` with no column constraint."""
+    table = _spec(machine).table
+    return _words(table, reach_table(machine, length), length, ((-1, 0, 1),) * length)

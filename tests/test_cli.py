@@ -148,6 +148,13 @@ def test_enum_negative_limit(capsys):
     assert code == 2 and out == "" and "--limit" in err
 
 
+def test_enum_limit_past_maxsize(capsys):
+    # itertools.islice takes no count past sys.maxsize
+    code, out, err = run(capsys, "enum", "--class", "mt", "--row", "1,2", "--limit",
+                         "99999999999999999999")
+    assert code == 2 and out == "" and err.startswith("error: --limit")
+
+
 def test_enum_missing_args(capsys):
     code, _, err = run(capsys, "enum", "--class", "dmt")
     assert code == 2 and err

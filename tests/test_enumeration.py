@@ -249,6 +249,39 @@ def test_streams_are_lazy(cls, bottom):
     assert peak < 200_000
 
 
+@pytest.mark.parametrize("cls, bottom", [
+    (TriangleClass.MT, tuple(range(0, 6000, 2))),
+    (TriangleClass.DMT, tuple(v for x in range(3000, 0, -2) for v in (x, x))),
+], ids=["MT", "DMT"])
+def test_first_row_above_holds_no_prefix_copies(cls, bottom):
+    # the row above grows on one list; a copy of its prefix per choice on the
+    # stack made the first row above these 3000 entries peak at about 35 MB
+    tracemalloc.start()
+    try:
+        next(predecessors(bottom, cls))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("stream", [
+    lambda: enum_matrices("asm", 16),
+    lambda: enum_matrices("2asm", 12),
+    lambda: enum_wni_objects(12, 5),
+], ids=["asm-16", "2asm-12", "wni-12-5"])
+def test_first_matrix_lists_no_row_words(stream):
+    # each row is walked through its machine as its columns allow; the 2^15
+    # words of an ASM row of 16, listed first, took about 6 MB alone
+    tracemalloc.start()
+    try:
+        next(stream())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_predecessor_sum_matches_operator():
     # the summation operator equals the sign-weighted sum over predecessor
     # rows, for any polynomial; cubes of coordinates as a spot check grid

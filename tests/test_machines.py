@@ -171,6 +171,14 @@ def test_generate_against_filter_oracle(machine, length):
     assert list(generate(machine, length)) == expected
 
 
+def test_tables_list_symbols_in_increasing_order():
+    # the row walks of backtrack and generate take a state's symbols in table
+    # order, which makes their words lexicographic with no sort
+    for spec in MACHINES.values():
+        for out in spec.table.values():
+            assert list(out) == sorted(out), spec.machine_id
+
+
 @pytest.mark.parametrize("change", [
     {"machine_id": "copy"},
     {"accept": frozenset({0})},
@@ -183,7 +191,8 @@ def test_unregistered_spec_rejected(change):
                  lambda: parse_steps(spec, (1,)),
                  lambda: list(generate(spec, 2)),
                  lambda: reach_table(spec, 2),
-                 lambda: list(backtrack(spec, 1, [((1,),)]))):
+                 lambda: list(backtrack([ASM_WORD, spec], ASM_WORD, 1)),
+                 lambda: list(backtrack([ASM_WORD], spec, 1))):
         with pytest.raises(InvalidInputError, match=repr(spec.machine_id)):
             call()
 
