@@ -14,7 +14,7 @@ up from the bottom row with ``machines._paths``, the sign matrices' walker.
 ``signed_count`` runs one DP over distinct rows of either class and reads
 every count, its own row's too, through one door, ``_lookup``: a bounded
 LRU cache keyed by the kernel and the gap word as read.  Rows of one or two
-entries have a closed form, and so have rows of three or four whose count
+entries have a closed form, and so have rows of three to five whose count
 is alpha: every MT row, and every DMT row under ``sc``.  For any other word
 ``_key`` alone decides the word the DP counts and its sign: the word or its
 reverse (the mirror image), whichever puts the wider end gap in front, or
@@ -70,9 +70,10 @@ STATISTICS = ("plain", "sc", "dd_with_prefactor", "dd_bar")
 
 _MEMO_ENTRIES = 1 << 20
 # rows held by _above, the rows above rests: on a cold pass over the
-# alpha-cold rows of perfbench a larger bound gains no hit and 64 lose about
-# a third of them, and an unbounded table raises the peak memory of staircase
-# n = 17 from 34 to 59 MB and of alpha(9; 2, 4, ..., 18) from 33 to 80 MB
+# alpha-cold rows of perfbench (seed 0: 1,480 hits, 1,269 misses) a larger
+# bound gains no hit and 64 lose about half of them, and an unbounded table
+# raises the peak memory of staircase n = 17 from 35 to 60 MB and of
+# alpha(9; 2, 4, ..., 18) from 33 to 78 MB
 _ABOVE_ENTRIES = 256
 _ABOVE_LIMIT = 1 << 20  # rows above one row that the DP may stream or keep
 
@@ -253,22 +254,49 @@ def _lookup(kernel, gaps):
     read, and the only door to ``_count``.  A word of no gaps counts 1.  A
     word ``(g,)`` has g - 1 rows above, each a DMT newcomer, or one row (0)
     when g = 0, or 1 - g MT rows when g < 0: it counts ``1 - g`` under ``sc``
-    and ``|g - 1|`` else.  A word of three or four entries that counts alpha,
+    and ``|g - 1|`` else.  A word of three to five entries that counts alpha,
     every MT word and every DMT word under ``sc``, is alpha's closed form in
-    ``p_i = 1 - g_i``, from Fischer's operator formula.  A longer word, or a
-    DMT one under ``plain`` or ``pair``, is read, on a miss, as ``_key``
-    decides: a key with sign 1 is counted by ``_count``, any other word is
-    its sign times its key's count, read through ``_lookup``."""
+    ``p_i = 1 - g_i``, from Fischer's operator formula: the product of the
+    sums of the p_i over every interval of 1..n-1, plus a correction (in
+    Horner form at n = 5, with ``q = p3 ** 2``), over 1! 2! ... (n - 1)!.
+    A longer word, or a DMT one under ``plain`` or ``pair``, is read, on a
+    miss, as ``_key`` decides: a key with sign 1 is counted by ``_count``,
+    any other word is its sign times its key's count, read through
+    ``_lookup``."""
     n = len(gaps) + 1
     if n < 3:
         return 1 if n == 1 else 1 - gaps[0] if kernel == "sc" else abs(gaps[0] - 1)
-    if n < 5 and (kernel == "sc" or gaps[0] < 0):
+    if n < 6 and (kernel == "sc" or gaps[0] < 0):
         p = [1 - g for g in gaps]
         if n == 3:
             return (p[0] * p[1] * (p[0] + p[1]) - 2) // 2
-        p1, p2, p3 = p
-        return (p1 * p2 * p3 * (p1 + p2) * (p2 + p3) * (p1 + p2 + p3) - 2 * (p1 + p2) ** 3
-                - 2 * (p2 + p3) ** 3 + 4 * p2 ** 3 - 12 * p1 * p2 * p3 + 14 * (p1 + p3)) // 12
+        if n == 4:
+            p1, p2, p3 = p
+            return (p1 * p2 * p3 * (p1 + p2) * (p2 + p3) * (p1 + p2 + p3) - 2 * (p1 + p2) ** 3
+                    - 2 * (p2 + p3) ** 3 + 4 * p2 ** 3 - 12 * p1 * p2 * p3 + 14 * (p1 + p3)) // 12
+        p1, p2, p3, p4 = p
+        q = p3 * p3
+        return (p1 * p2 * p3 * p4 * (p1 + p2) * (p2 + p3) * (p3 + p4) * (p1 + p2 + p3)
+                * (p2 + p3 + p4) * (p1 + p2 + p3 + p4)
+                + p1*(p1*(p1*(p1*(p2*(p2*(-2*p2 - 6*p3) - 6*q + 14) + p4*(-12*p2*p3 - 6*q
+                + p4*(-6*p3 - 2*p4) + 14)) + p2*(p2*(p2*(-6*p2 - 24*p3) - 36*q + 54) + p3*(52
+                - 16*q) - 24) + p4*(p2*(-48*p2*p3 - 48*q + 56) + p3*(4 - 8*q) + p4*(-24*p2*p3
+                - 12*q + p4*(-8*p2 - 8*p3 - 2*p4) + 2) + 24)) + p2*(p2*(p2*(p2*(-6*p2 - 30*p3)
+                - 60*q + 80) + p3*(156 - 48*q)) + p3*(p3*(78 - 12*q) + 72) - 230)
+                + p4*(p2*(p2*(-72*p2*p3 - 144*q + 84) + p3*(180 - 72*q) + 72) + p3*(6*p3 + 144)
+                + p4*(p2*(-72*p2*p3 - 72*q + 6) + 6*p3 + p4*(-6*p2*p4 + p2*(-12*p2 - 24*p3) + 2)
+                + 72) - 230)) + p2*(p2*(p2*(p2*(p2*(-2*p2 - 12*p3) - 30*q + 40) + p3*(104 - 32*q)
+                + 48) + p3*(p3*(78 - 12*q) + 216) - 230) + 144*q - 312) + p4*(p2*(p2*(p2*(-36*p2*p3
+                - 120*q + 56) + p3*(180 - 120*q) + 72) + p3*(p3*(180 - 36*q) + 288) - 460)
+                + p3*(p3*(56*p3 + 72) - 460) + p4*(p2*(p2*(-72*p2*p3 - 144*q + 6) + p3*(180 - 72*q)
+                + 144) + p3*(84*p3 + 72) + p4*(p2*(p2*(-8*p2 - 48*p3) - 48*q + 4) + 56*p3
+                + p4*(p2*(-6*p2 - 12*p3) + 14) + 24) - 230) + 312)) + p2*(p2*(p2*(24*p2 + 96*p3)
+                + 144*q - 312) + p3*(96*q - 624)) + q*(24*q - 312) + p4*(p2*(p2*(p2*(-12*p2*q
+                - 32*p3*q) + p3*(p3*(78 - 30*q) + 144)) + q*(p3*(104 - 12*q) + 216))
+                + p3*(p3*(p3*(p3*(40 - 2*q) + 48) - 230) - 312) + p4*(p2*(p2*(p2*(-12*p2*p3 - 48*q)
+                + p3*(78 - 60*q)) + p3*(p3*(156 - 30*q) + 72)) + p3*(q*(80 - 6*q) - 230)
+                + p4*(p2*(p2*(-16*p2*p3 - 36*q) + p3*(52 - 24*q)) + p3*(p3*(54 - 6*q) - 24)
+                + p4*(p2*(-6*p2*p3 - 6*q) + p3*(14 - 2*q))))) + 864) // 288
     key, sign = _key(kernel, gaps)
     if key == gaps and sign == 1:
         return _count(kernel, gaps)

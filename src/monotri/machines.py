@@ -25,9 +25,9 @@ builds matrices row by row with a column-machine state per column: the
 moves of row r from a tuple of states, found once per ``(r, states)`` and
 call, are that walk of row r's machine, taking only symbols after which
 their column can still reach an accept state in the rows left.  ``enumeration._rows_above``
-keeps its own stack on one row list: on ``_paths`` the 1,679 rows-above
-streams of perfbench's alpha-cold pass (seed 0) take 2.3 times as long, 28
-against 12 ms (CPython 3.11, shared 2-core x86-64 host).
+keeps its own stack on one row list: on ``_paths`` the 1,269 rows-above
+streams of perfbench's alpha-cold pass (seed 0) take 2.6-3.0 times as long,
+30-34 against 11 ms (CPython 3.11, shared 2-core x86-64 host).
 Machines are named by id.
 """
 

@@ -54,9 +54,9 @@ def test_alpha_out_of_memory(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "resource limit: out of memory\n")
 
 
-@pytest.mark.parametrize("row", ["100000000000000,99999999999995,3,3,1", "0,1,2000,2001,4000,4001"])
+@pytest.mark.parametrize("row", ["100000000000000,99999999999995,4,3,3,1", "0,1,2000,2001,4000,4001"])
 def test_alpha_wide_inner_gap_stops_at_budget(capsys, row):
-    # a wide inner gap of a row of 5 or more entries is not extrapolated: the
+    # a wide inner gap of a row of 6 or more entries is not extrapolated: the
     # rows above a row with gaps g, at most the product of |g| + 1, are
     # bounded before any is built
     start = time.perf_counter()

@@ -533,23 +533,28 @@ def test_narrow_first_gap_counts_on_cold_memo():
 
 
 def test_short_alpha_words_are_closed_forms(monkeypatch):
-    # a word of 3 or 4 entries that counts alpha, every MT word and every DMT
+    # a word of 3 to 5 entries that counts alpha, every MT word and every DMT
     # word under sc, is answered by alpha's closed form before any key is
-    # chosen.  Each form is a polynomial of total degree 3 or 6 in the gaps,
-    # and seven values per entry exceed either degree, so every integer row
-    # k + (0,) with k from -3..3, mixed signs and triples included, fixes
-    # both against the operator recursion.  Words that are not MT count alpha
-    # only under sc
+    # chosen.  The forms of 3 and 4 entries are polynomials of total degree 3
+    # and 6 in the gaps, and seven values per entry exceed either degree, so
+    # every integer row k + (0,) with k from -3..3, mixed signs and triples
+    # included, fixes both against the operator recursion.  The form of 5
+    # entries has total degree 10, and the 1,001 gap words >= 0 that sum to
+    # at most 10, the principal lattice of the 4-simplex, fix it, and so do
+    # their negatives.  Words that are not MT count alpha only under sc
     def refused(*key):
         raise AssertionError(key)
 
     monkeypatch.setattr(enumeration, "_key", refused)
     monkeypatch.setattr(enumeration, "_count", refused)
     rows = [k + (0,) for m in (2, 3) for k in product(range(-3, 4), repeat=m)]
-    assert len(rows) == 392
+    simplex = [g for g in product(range(11), repeat=4) if sum(g) <= 10]
+    assert (len(rows), len(simplex)) == (392, 1001)
+    words = [gap_word(k) for k in rows] + simplex + [tuple([-g for g in w]) for w in simplex]
     lookup = enumeration._lookup.__wrapped__
-    for k in rows:
-        gaps, want = gap_word(k), alpha(k, AlphaMethod.OPERATOR_RECURSION)
+    for gaps in words:
+        k = tuple(accumulate(reversed(gaps), initial=0))[::-1]
+        want = alpha(k, AlphaMethod.OPERATOR_RECURSION)
         for kernel in ("sc", "plain", "pair") if gaps[0] < 0 else ("sc",):
             assert lookup(kernel, gaps) == want, (k, kernel)
 
@@ -582,7 +587,7 @@ def test_wide_first_gap_matches_polynomial(monkeypatch, k1, rest):
     # so its values at the n narrowest first gaps, by the oracle, fix it at
     # any k1; a gap in the thousands must not deepen the recursion.  A first
     # entry below the rest makes an MT row, on which every kernel counts.
-    # The DP extrapolates a key of first gap w > n; a row of 3 or 4 entries
+    # The DP extrapolates a key of first gap w > n; a row of 3 to 5 entries
     # that counts alpha is a closed form and makes no key at all
     n = len(rest) + 1
     cls, step = (TriangleClass.DMT, 1) if k1 > rest[0] else (TriangleClass.MT, -1)
@@ -596,7 +601,7 @@ def test_wide_first_gap_matches_polynomial(monkeypatch, k1, rest):
             enumeration.clear_caches()
             keys.clear()
             assert signed_count((k1,) + rest, cls, statistic) == want, kernel
-            closed = n < 5 and (kernel == "sc" or cls is TriangleClass.MT)
+            closed = n < 6 and (kernel == "sc" or cls is TriangleClass.MT)
             wide = any(abs(gaps[0]) > len(gaps) + 1 for _, gaps in keys)
             assert (not keys) if closed else wide, kernel
             if kernel == "sc":

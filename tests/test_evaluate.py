@@ -2,7 +2,8 @@ import functools
 import math
 import random
 import time
-from itertools import product
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -519,7 +520,7 @@ def counting_states(monkeypatch):
 def test_dp_state_counts(monkeypatch):
     # pins the DP's state space: one count per distinct row up to
     # translation and mirroring, and under sc (the staircase) up to rotation
-    # too, but none for a row of 3 or 4 entries, which is a closed form.  The
+    # too, but none for a row of 3 to 5 entries, which is a closed form.  The
     # transitions are the rows a state sums, all above its rest or the rest
     # of that, read from the rows-above memo.  The rows streamed are those
     # predecessors made to fill it, and the kernel makes no other row
@@ -548,8 +549,8 @@ def test_dp_state_counts(monkeypatch):
     monkeypatch.setattr(enumeration, "_above", reading)
     try:
         for row, keys, transitions, rows_streamed in (
-                (tuple(range(11, 0, -1)), 133, 488, 311),
-                ((0, 3, 5, 8, 10, 13), 156, 4347, 2047)):
+                (tuple(range(11, 0, -1)), 126, 478, 306),
+                ((0, 3, 5, 8, 10, 13), 5, 365, 237)):
             evaluate.clear_caches()
             for seen in (states, streamed, summed, made):
                 seen.clear()
@@ -667,6 +668,35 @@ def test_wide_four_entry_row_is_a_closed_form():
     start = time.perf_counter()
     assert alpha((0, 1, 100000, 100001)) == 33336000046666400002
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("row, value", [
+    ((0, 1, 2, 100000, 100001), 97233889223606777618335400002),
+    ((0, 1, 100000, 100001, 100003), 194483613834793889289580925028),
+])
+def test_wide_five_entry_row_is_a_closed_form(row, value):
+    # a 5-entry monotone row is alpha's closed form at any width too: the DP
+    # summed the rows above (2, 100000, 100001) for the first row, in about
+    # 3 s and 216 MB, and did not finish the second
+    evaluate.clear_caches()
+    start = time.perf_counter()
+    assert alpha(row) == value
+    assert time.perf_counter() - start < 1
+
+
+def test_dp_just_above_the_closed_forms():
+    # every 6-entry row of a small box, counted by the DP, whose rests are
+    # 5-entry closed forms, against the operator recursion: the strictly
+    # increasing rows from 0..8 and the weakly decreasing triple-free rows
+    # from 6..1
+    mt = list(combinations(range(9), 6))
+    dmt = [k[::-1] for k in combinations_with_replacement(range(1, 7), 6)
+           if max(Counter(k).values()) < 3]
+    assert (len(mt), len(dmt)) == (84, 141)
+    evaluate.clear_caches()
+    for rows, method in ((mt, AlphaMethod.MONOTONE_DP), (dmt, AlphaMethod.SIGNED_DMT_DP)):
+        for k in rows:
+            assert alpha(k, method) == alpha(k, AlphaMethod.OPERATOR_RECURSION), k
 
 
 @pytest.mark.long
