@@ -46,7 +46,6 @@ from .evaluate import (
     X_number,
     alpha,
     binomial,
-    ext_sum,
     forward_difference_power,
     refined_asm,
     sum_operator,

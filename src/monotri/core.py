@@ -1,5 +1,6 @@
 """Domain types for triangular arrays and sign matrices, their validators,
-and the sign statistics used by the signed enumerations.
+and the sign statistics used by the signed enumerations; a DMT's check and
+its statistics read one pass.
 
 Conventions: triangles are stored top row first, row ``i`` (1-based) has
 exactly ``i`` entries.  All types are immutable and all functions are pure.
@@ -186,17 +187,23 @@ def validate_monotone(t: TriangularArray) -> bool:
     return True
 
 
-def _dmt_counts(rows) -> list[Counter]:
-    """Per-row value counts of a triangle whose diagonals weakly decrease and
-    whose rows hold no value more than twice; InvalidInputError otherwise."""
+def _dmt_steps(rows):
+    """Decide a DMT in one pass: ``(counts, steps)``, its per-row value counts
+    and its tally of count steps (see ``StatRecord``), or None unless the
+    diagonals weakly decrease, no row holds a value thrice and no step is
+    (1, 1), the no-single-descendant rule."""
     for upper, lower in zip(rows, rows[1:]):
         for j, x in enumerate(upper):
             if not (lower[j] >= x >= lower[j + 1]):
-                raise InvalidInputError("diagonal condition violated")
+                return None
     counts = [Counter(row) for row in rows]
     if any(c > 2 for cnt in counts for c in cnt.values()):
-        raise InvalidInputError("an entry occurs more than twice in a row")
-    return counts
+        return None
+    steps = Counter([(c, lower[v]) for upper, lower in zip(counts, counts[1:])
+                     for v, c in upper.items()])
+    if steps[1, 1]:
+        return None
+    return counts, steps
 
 
 def validate_dmt(t: TriangularArray) -> bool:
@@ -206,14 +213,7 @@ def validate_dmt(t: TriangularArray) -> bool:
     at most two, and the no-single-descendant condition (no value occurring
     exactly once in each of two consecutive rows).
     """
-    try:
-        counts = _dmt_counts(t.rows)
-    except InvalidInputError:
-        return False
-    for cu, cl in zip(counts, counts[1:]):
-        if any(c == 1 and cl[v] == 1 for v, c in cu.items()):
-            return False
-    return True
+    return _dmt_steps(t.rows) is not None
 
 
 def transition_stats(k, l) -> tuple[int, int]:
@@ -245,19 +245,12 @@ def _pair_values(row) -> set:
 
 
 def triangle_stats(t: TriangularArray) -> StatRecord:
-    """All sign statistics of a DMT, read off one tally of count steps: each
-    value v of a row but the last steps from its count in that row to its
-    count in the row below (see ``StatRecord`` for the table).  The same
-    tally checks the no-single-descendant rule: it has no step (1, 1)."""
-    not_dmt = "not a decreasing monotone triangle"
-    try:
-        counts = _dmt_counts(t.rows)
-    except InvalidInputError:
-        raise InvalidInputError(not_dmt) from None
-    steps = Counter([(c, lower[v]) for upper, lower in zip(counts, counts[1:])
-                     for v, c in upper.items()])
-    if steps[1, 1]:  # a value once in a row and once in the row below
-        raise InvalidInputError(not_dmt)
+    """All sign statistics of a DMT, read off the count-step tally of the
+    DMT check (see ``StatRecord`` for the table)."""
+    checked = _dmt_steps(t.rows)
+    if checked is None:
+        raise InvalidInputError("not a decreasing monotone triangle")
+    counts, steps = checked
     pairs_per_row = tuple([sum(c == 2 for c in cnt.values()) for cnt in counts])
     bottom_pairs = pairs_per_row[-1]
     return StatRecord(

@@ -1,6 +1,7 @@
 """Evaluation of the triangle-counting polynomial alpha(n; k1..kn) and the
-derived quantities: extended sums, the summation operator, difference
-operators, refined ASM numbers, and the W/X difference numbers.
+derived quantities: the summation operator (at two bounds, the extended
+sum), difference operators, refined ASM numbers, and the W/X difference
+numbers.
 
 alpha at strictly increasing arguments counts monotone triangles with that
 bottom row; at weakly decreasing arguments it equals the signed enumeration
@@ -68,12 +69,6 @@ def _ext_range(a: int, b: int):
     return range(b + 1, a), -1
 
 
-def ext_sum(f, a: int, b: int) -> int:
-    """Sum of f over [a, b], extended to all integer bounds as ``_ext_range``."""
-    points, sign = _ext_range(*_int_entries((a, b)))
-    return sign * sum(f(i) for i in points)
-
-
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def _op_terms(k, variant):
     """The summation operator at ``k`` as a table of signed points: applied to
@@ -105,7 +100,10 @@ def sum_operator(func, k, variant: int = 5) -> int:
     """Apply the summation operator with bound vector ``k`` to ``func``, a
     callable in len(k) - 1 integer arguments: expand it by the chosen
     recursion (5 peels the last bound, 9 the first), call ``func`` once per
-    point.  ``variant`` is 5 or 9, an integer by ``core``'s rule."""
+    point.  ``variant`` is 5 or 9, an integer by ``core``'s rule.
+
+    At two bounds ``(a, b)`` it is the extended sum over ``[a, b]``: recursion
+    5 gives ``func(a)`` plus the extended sum over ``[a+1, b]``."""
     k = _int_entries(k)
     n = len(k)
     if n < 1:
@@ -183,6 +181,8 @@ def alpha(
             return 0
         return _signed_count(k, TriangleClass.DMT, "sc", shape)
 
+    _check_size(op_max_n, "op_max_n")
+    _check_size(op_max_spread, "op_max_spread")
     n = len(k)
     spread = max(k) - min(k)
     if n > op_max_n or spread > op_max_spread:

@@ -382,6 +382,8 @@ def verify(identity_id: str, params: dict | None = None) -> VerificationReport:
     ident = IDENTITIES.get(identity_id)
     if ident is None:
         raise InvalidInputError(f"unknown identity {identity_id!r}")
+    if params is not None and not isinstance(params, dict):
+        raise InvalidInputError(f"params must be a dict, got {params!r}")
     merged = dict(ident.defaults)
     for key, value in (params or {}).items():
         if key not in merged:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -312,6 +313,73 @@ def test_row_opening_with_minus_sign(capsys):
 def test_results_only_on_stdout(capsys):
     code, out, err = run(capsys, "enum", "--class", "asm", "--n", "3", "--count-only")
     assert code == 0 and out.strip() == "7" and err == ""
+
+
+def _drawn_argv(rng, files):
+    """One argv list for ``test_exit_contract``, any subcommand, valid or not."""
+    def row(sizes):
+        # sorted up or down two times in three, to reach the DP methods and
+        # the triangle streams, not only their refusals
+        entries = [rng.randint(-12, 12) for _ in range(rng.choice(sizes))]
+        order = rng.choice([None, False, True])
+        return ",".join(map(str, entries if order is None else sorted(entries, reverse=order)))
+
+    command = rng.choice(["alpha", "enum", "verify", "det", "stats", "biject"])
+    if command == "alpha":
+        method = rng.choice([m.value for m in AlphaMethod] + ["nonsense"])
+        # the operator route has no work budget, and a 6-entry row inside its
+        # guard, like 0,10,0,10,0,10, runs for many seconds; 7 entries are
+        # past the guard
+        sizes = range(8) if method in ("mt", "dmt", "nonsense") else (0, 1, 2, 3, 4, 5, 7)
+        return ["alpha", "--row", row(sizes), "--method", method]
+    if command == "enum":
+        cls = rng.choice(["mt", "dmt", "asm", "2asm", "wni"])
+        limit = rng.choice([-1, 0, 1, 7, 40, 40, 40, 2**64])
+        argv = ["enum", "--class", cls, "--limit", str(limit)]
+        if cls in ("mt", "dmt") or rng.random() < 0.1:
+            argv += ["--row", row(range(8))]
+        if cls in ("asm", "2asm", "wni") or rng.random() < 0.1:
+            argv += ["--n", str(rng.randint(-1, 6))]
+        if cls == "wni" or rng.random() < 0.1:
+            argv += ["--i", str(rng.randint(-1, 13))]
+        if rng.random() < 0.3:
+            argv.append("--count-only")
+        return argv + ["--format", rng.choice(["text", "json", "json", "csv", "xml"])]
+    if command == "verify":
+        argv = ["verify", "--id", rng.choice([*IDENTITIES, "nonsense"]),
+                "--n", str(rng.randint(-1, 8))]
+        if rng.random() < 0.5:
+            argv += ["--seed", str(rng.randint(0, 99))]
+        return argv
+    if command == "det":
+        return ["det", "--kind", rng.choice(["behrend", "sprime"]), "--n", str(rng.randint(-1, 9))]
+    argv = [command, "--input", rng.choice(files)]
+    if command == "biject":
+        argv += ["--kind", rng.choice(["mt-asm", "dmt-2asm", "s1-mt"]),
+                 "--direction", rng.choice(["fwd", "rev"])]
+    return argv
+
+
+def test_exit_contract(tmp_path, capsys):
+    # every input ends in an answer, a failed check, a refusal or a budget
+    # stop: exit 0, 1, 2 or 3, with no traceback, and soon
+    files = [str(tmp_path / "missing.json")]
+    for name, obj in (("dmt", TriangularArray(DMT_10)),
+                      ("mt", TriangularArray(((2,), (1, 3), (1, 2, 3)))),
+                      ("matrix", SignMatrix(TWOASM_5))):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(serialize(obj))
+        files.append(str(path))
+    rng = random.Random(20111)
+    for _ in range(200):
+        argv = _drawn_argv(rng, files)
+        start = time.perf_counter()
+        code = run_cli(argv)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        assert elapsed < 2, (argv, elapsed)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

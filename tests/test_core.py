@@ -27,7 +27,6 @@ from monotri import (
     validate_dmt,
     validate_monotone,
 )
-from monotri.core import _dmt_counts
 from monotri.machines import ASM_WORD, reach_table
 
 from golden import DMT_8, DMTS_63321, DMTS_63321_DD, MT5_ROWS, dmt_bottom
@@ -171,6 +170,13 @@ def test_validators_match_entry_oracles_exhaustively():
         mt, dmt = _monotone_oracle(rows), _dmt_oracle(rows)
         assert validate_monotone(t) == mt, rows
         assert validate_dmt(t) == dmt, rows
+        # the statistics read the DMT check's pass, so they refuse the same
+        try:
+            triangle_stats(t)
+        except InvalidInputError as e:
+            assert str(e) == "not a decreasing monotone triangle" and not dmt, rows
+        else:
+            assert dmt, rows
         seen["mt"] += mt
         seen["dmt"] += dmt
     # the tallies pin the case set, and both classes are well represented
@@ -212,7 +218,8 @@ def condition3_equivalent(t: TriangularArray) -> bool:
     multiplicity conditions.
     """
     rows = t.rows
-    _dmt_counts(rows)
+    if not all(_local_ok(rows[:i]) for i in range(1, len(rows) + 1)):
+        raise InvalidInputError("diagonal or multiplicity condition violated")
     for upper, lower in zip(rows, rows[1:]):
         for j, x in enumerate(upper):
             sw, se = lower[j], lower[j + 1]

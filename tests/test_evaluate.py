@@ -19,7 +19,6 @@ from monotri import (
     binomial,
     enumeration,
     evaluate,
-    ext_sum,
     forward_difference_power,
     refined_asm,
     sum_operator,
@@ -120,7 +119,7 @@ def literal_sum_operator(func, k, variant):
             + literal_sum_operator(pinned, k[:-2] + (k[-2] - 1,), variant))
 
 
-# binomial / ext_sum --------------------------------------------------------
+# binomial / extended sum ----------------------------------------------------
 
 def test_binomial_values():
     assert binomial(5, 2) == 10
@@ -145,15 +144,26 @@ def test_binomial_negation_identity(a, b):
 
 def test_ext_sum_cases():
     one = lambda i: 1
-    assert ext_sum(one, 1, 4) == 4
-    assert ext_sum(one, 5, 4) == 0
-    assert ext_sum(one, 4, 1) == -2
+    assert sum_operator(one, (1, 4)) == 4
+    assert sum_operator(one, (5, 4)) == 0
+    assert sum_operator(one, (4, 1)) == -2
 
 
 @given(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8))
 def test_ext_sum_additive(a, b, c):
     f = lambda i: i * i - 3 * i + 1
-    assert ext_sum(f, a, b) + ext_sum(f, b + 1, c) == ext_sum(f, a, c)
+    assert sum_operator(f, (a, b)) + sum_operator(f, (b + 1, c)) == sum_operator(f, (a, c))
+
+
+def test_two_bound_operator_is_the_extended_sum():
+    # both recursions at two bounds: f(a) plus the extended sum over [a+1, b]
+    # (5), or the extended sum over [a, b-1] plus f(b) (9)
+    f = lambda i: i ** 3 - 4 * i * i + 2 * i - 7
+    for variant in (5, 9):
+        for a in range(-6, 7):
+            for b in range(-8, 9):
+                want = literal_ext_sum(f, a, b)
+                assert sum_operator(f, (a, b), variant) == want, (variant, a, b)
 
 
 # sum operator ---------------------------------------------------------------
@@ -302,11 +312,16 @@ def test_sum_operator_arity_errors():
     lambda: sum_operator(lambda a: 1, ("0", "2")),
     lambda: alpha((True, 3)),
     lambda: sum_operator(lambda a: 1, (False, 2)),
-    lambda: ext_sum(lambda i: 1, 1.5, 3),
-    lambda: ext_sum(lambda i: 1, True, 3),
+    lambda: alpha((1, 3, 2), "op", op_max_n="6"),
+    lambda: alpha((1, 3, 2), "op", op_max_n=6.5),
+    lambda: alpha((1, 3, 2), "op", op_max_n=True),
+    lambda: alpha((1, 3, 2), "op", op_max_spread="12"),
+    lambda: alpha((1, 3, 2), "op", op_max_spread=12.5),
+    lambda: alpha((1, 3, 2), "op", op_max_spread=True),
 ], ids=["alpha-float", "alpha-str", "alpha-integral-float", "alpha-dmt-float",
         "sum-operator-float", "sum-operator-str", "alpha-bool", "sum-operator-bool",
-        "ext-sum-float", "ext-sum-bool"])
+        "op-max-n-str", "op-max-n-float", "op-max-n-bool",
+        "op-max-spread-str", "op-max-spread-float", "op-max-spread-bool"])
 def test_non_integer_entries_rejected(call):
     # not truncated to integers, and not a bare TypeError from deep inside
     with pytest.raises(InvalidInputError):

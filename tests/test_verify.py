@@ -33,6 +33,12 @@ def test_unknown_parameter():
         verify("table", {"q_max": 3})
 
 
+@pytest.mark.parametrize("params", [[("n_max", 3)], (), "n_max=3"])
+def test_params_must_be_a_dict(params):
+    with pytest.raises(InvalidInputError, match="params must be a dict"):
+        verify("table", params)
+
+
 @pytest.mark.parametrize("value", [2.7, 3.0, "3", "x", None, True])
 def test_non_integer_parameter_rejected(value):
     # a float is not truncated and a string is not parsed: only int is a size
