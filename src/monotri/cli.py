@@ -52,8 +52,17 @@ def _emit(value, fmt: str) -> None:
         sys.stdout.write("\n")
 
 
+def _print_int(value: int) -> None:
+    """Print an integer result; one past str()'s digit limit is a budget stop."""
+    try:
+        text = str(value)
+    except ValueError as e:
+        raise ResourceLimitError(f"result too long to print: {e}") from None
+    print(text)
+
+
 def _cmd_alpha(args) -> int:
-    print(alpha(_row(args.row), args.method))
+    _print_int(alpha(_row(args.row), args.method))
     return EXIT_OK
 
 
@@ -86,7 +95,7 @@ def _cmd_enum(args) -> int:
             if args.format != "json":
                 sys.stdout.write("\n")
     if args.count_only:
-        print(count)
+        _print_int(count)
     return EXIT_OK
 
 
@@ -137,7 +146,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    print(exactla.det_exact(exactla.build_matrix(args.kind, args.n)))
+    _print_int(exactla.det_exact(exactla.build_matrix(args.kind, args.n)))
     return EXIT_OK
 
 

@@ -18,9 +18,9 @@ recursion checks independently wherever their domains overlap:
 Both DP methods are the one DP of ``enumeration.signed_count``, described
 there, entered through a private form that takes the row shape ``alpha``
 has already classified.
-The summation operator at a bound vector is a cached table of signed
-points, built by the chosen recursion from the tables of shorter vectors;
-applying it calls the function once per point.
+The summation operator at a bound vector is one cached table of signed
+points, whichever recursion is named, built by recursion 5 from the tables
+of shorter vectors; applying it calls the function once per point.
 The operator recursion caches its values apart, keyed by rows shifted to
 start at 0, so it never reads the DP's entries and stays an independent
 check.  Row and bound entries, sizes and indices must be integers by
@@ -61,46 +61,34 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b) if a >= 0 else (-1) ** b * math.comb(b - a - 1, b)
 
 
-def _ext_range(a: int, b: int):
-    """The points of the sum over [a, b] and their sign, for any integer
-    bounds: empty when b = a - 1, negated and flipped when b <= a - 2."""
-    if b >= a:
-        return range(a, b + 1), 1
-    return range(b + 1, a), -1
-
-
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
-def _op_terms(k, variant):
+def _op_terms(k):
     """The summation operator at ``k`` as a table of signed points: applied to
     ``func`` it is the sum of ``c * func(*point)`` over the ``(point, c)``
-    pairs.  Equal points are merged and zero coefficients dropped.  The tuple
-    is made from a list: made from a generator it is resized, and cleared
-    tables would pile up in the free lists of small tuples."""
+    pairs.  Equal points are merged and zero coefficients dropped, so every
+    recursion for the operator gives this one table; recursion 5 builds it.
+    The tuple is made from a list: made from a generator it is resized, and
+    cleared tables would pile up in the free lists of small tuples."""
     if len(k) == 1:
         return (((), 1),)
     table = Counter()
-    if variant == 9:
-        points, sign = _ext_range(k[0], k[1] - 1)
-        for l, c in _op_terms(k[1:], 9):
-            for t in points:
-                table[(t,) + l] += sign * c
-        for l, c in _op_terms((k[1] + 1,) + k[2:], 9):
-            table[(k[1],) + l] += c
-    else:  # variant 5
-        points, sign = _ext_range(k[-2] + 1, k[-1])
-        for l, c in _op_terms(k[:-1], 5):
-            for t in points:
-                table[l + (t,)] += sign * c
-        for l, c in _op_terms(k[:-2] + (k[-2] - 1,), 5):
-            table[l + (k[-2],)] += c
+    # the extended sum over [a, b]: empty at b = a - 1, negated and flipped below
+    a, b = k[-2] + 1, k[-1]
+    points, sign = (range(a, b + 1), 1) if b >= a else (range(b + 1, a), -1)
+    for l, c in _op_terms(k[:-1]):
+        for t in points:
+            table[l + (t,)] += sign * c
+    for l, c in _op_terms(k[:-2] + (k[-2] - 1,)):
+        table[l + (k[-2],)] += c
     return tuple([(point, c) for point, c in table.items() if c])
 
 
 def sum_operator(func, k, variant: int = 5) -> int:
     """Apply the summation operator with bound vector ``k`` to ``func``, a
-    callable in len(k) - 1 integer arguments: expand it by the chosen
-    recursion (5 peels the last bound, 9 the first), call ``func`` once per
-    point.  ``variant`` is 5 or 9, an integer by ``core``'s rule.
+    callable in len(k) - 1 integer arguments: call ``func`` once per point of
+    the operator's cached table.  ``variant`` names the paper's recursion, 5
+    (peels the last bound) or 9 (the first, so it needs two bounds), an
+    integer by ``core``'s rule; both expand to the one table.
 
     At two bounds ``(a, b)`` it is the extended sum over ``[a, b]``: recursion
     5 gives ``func(a)`` plus the extended sum over ``[a+1, b]``."""
@@ -112,7 +100,7 @@ def sum_operator(func, k, variant: int = 5) -> int:
         raise InvalidInputError(f"unknown variant {variant!r}")
     if variant == 9 and n < 2:
         raise InvalidInputError("variant 9 needs at least two bounds")
-    return sum(c * func(*point) for point, c in _op_terms(k, variant))
+    return sum(c * func(*point) for point, c in _op_terms(k))
 
 
 class AlphaMethod(Enum):
@@ -135,7 +123,7 @@ def _alpha_op(k):
     """The operator recursion at ``k``, which has at least two entries and
     starts at 0.  Its table is read once, so it is built uncached, from cached
     tables that start at 0 as well (recursion 5 keeps the first bound)."""
-    return sum(c * _alpha_op_at(*point) for point, c in _op_terms.__wrapped__(k, 5))
+    return sum(c * _alpha_op_at(*point) for point, c in _op_terms.__wrapped__(k))
 
 
 def _alpha_op_at(*k):

@@ -106,6 +106,8 @@ def _parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except ValueError as e:  # an integer past the interpreter's digit limit
+        raise ParseError(f"invalid JSON: {e}") from None
     except RecursionError:
         raise ParseError("JSON nested too deeply") from None
 

@@ -86,8 +86,9 @@ def literal_ext_sum(f, a, b):
 def literal_sum_operator(func, k, variant):
     """The summation operator expanded literally, one closure per peeled
     bound, as the paper's recursions 5, 8 and 9 state it; every path calls
-    ``func``.  Recursion 8, a closed sum and a correction, is written only
-    here: the package expands 5 and 9."""
+    ``func``.  Recursions 8, a closed sum and a correction, and 9, which
+    peels the first bound, are written only here: the package builds its
+    one table by 5."""
     n = len(k)
     if n == 1:
         return func()
@@ -117,6 +118,30 @@ def literal_sum_operator(func, k, variant):
 
     return (literal_sum_operator(outer, k[:-1], variant)
             + literal_sum_operator(pinned, k[:-2] + (k[-2] - 1,), variant))
+
+
+class Points(Counter):
+    """A formal signed sum of points.  Unlike Counter's, its sums keep
+    negative coefficients, drop zero ones and read the integer 0 as empty,
+    so a literal expansion applied to ``lambda *p: Points({p: 1})`` returns
+    the operator's table."""
+
+    def __add__(self, other):
+        total = Counter(self)
+        total.update(other or {})
+        return Points({p: c for p, c in total.items() if c})
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Points({p: -c for p, c in self.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+
+def literal_table(k, variant):
+    return dict(Points() + literal_sum_operator(lambda *p: Points({p: 1}), k, variant))
 
 
 # binomial / extended sum ----------------------------------------------------
@@ -241,14 +266,14 @@ def test_op_terms_tables_are_merged_and_cleared():
             for variant in (5, 9):
                 sum_operator(lambda *x: 0, k, variant)
         alpha((2, 0, 3, 1), AlphaMethod.OPERATOR_RECURSION)
-        assert evaluate._op_terms.cache_info().currsize > 2 * 4**4
+        # one table per bound vector, whichever variant asked for it
+        assert evaluate._op_terms.cache_info().currsize > 4**4
         # the tables are private to the cache; read them back by calling it
         for k in product(range(-1, 3), repeat=4):
-            for variant in (5, 9):
-                table = evaluate._op_terms(k, variant)
-                points = [point for point, _ in table]
-                assert len(set(points)) == len(points), (k, variant)
-                assert all(c != 0 and len(point) == 3 for point, c in table), (k, variant)
+            table = evaluate._op_terms(k)
+            points = [point for point, _ in table]
+            assert len(set(points)) == len(points), k
+            assert all(c != 0 and len(point) == 3 for point, c in table), k
         evaluate.clear_caches()
         assert evaluate._op_terms.cache_info().currsize == 0
     finally:
@@ -256,15 +281,17 @@ def test_op_terms_tables_are_merged_and_cleared():
 
 
 def test_both_recursions_build_one_table():
-    # the tables themselves agree, point for point, which is stronger than
-    # agreeing on the functions applied to them
+    # the package's table, built by recursion 5, is the table of the literal
+    # recursion 9, point for point, which is stronger than agreeing on the
+    # functions applied to them
+    rng = random.Random(9)
     grid = [k for n in (2, 3, 4) for k in product(range(-2, 4), repeat=n)]
     grid += list(product(range(-1, 3), repeat=5))
+    grid += [tuple(rng.randint(-2, 3) for _ in range(6)) for _ in range(40)]
     try:
         evaluate.clear_caches()
         for k in grid:
-            table = dict(evaluate._op_terms(k, 5))
-            assert table == dict(evaluate._op_terms(k, 9)), k
+            assert dict(evaluate._op_terms(k)) == literal_table(k, 9), k
     finally:
         evaluate.clear_caches()
 
@@ -275,15 +302,15 @@ def test_operator_recursion_reads_tables_that_start_at_0(monkeypatch):
     keys = []
     build = evaluate._op_terms.__wrapped__
 
-    def recording(k, variant):
-        keys.append((k, variant))
-        return build(k, variant)
+    def recording(k):
+        keys.append(k)
+        return build(k)
 
     monkeypatch.setattr(evaluate, "_op_terms", functools.lru_cache(maxsize=None)(recording))
     try:
         evaluate.clear_caches()
         assert alpha((9, 13, 7, 11, 8), AlphaMethod.OPERATOR_RECURSION) == 633
-        assert keys and all(k[0] == 0 and v == 5 for k, v in keys if len(k) > 1)
+        assert keys and all(k[0] == 0 for k in keys if len(k) > 1)
     finally:
         evaluate.clear_caches()
 
@@ -727,6 +754,30 @@ def test_conjecture_at_m_8():
     # left, the monotone DP on the right
     left = alpha(tuple(range(17, 0, -1)), AlphaMethod.SIGNED_DMT_DP)
     assert left == alpha(tuple(range(2, 17, 2)), AlphaMethod.MONOTONE_DP) == STAIRCASE_TABLE[17]
+
+
+@pytest.mark.long
+def test_strategies_agree_on_a_seeded_grid():
+    # on monotone and decreasing rows, n = 3..6: the DP against the operator
+    # recursion, the rotation and the mirror with the operator recursion on
+    # both sides, and the recursion applied to the DP one size down
+    rng = random.Random(2011)
+    op = functools.partial(alpha, method=AlphaMethod.OPERATOR_RECURSION, op_max_spread=16)
+    rows = []
+    for n in range(3, 7):
+        for _ in range(75):
+            rows.append(tuple(sorted(rng.sample(range(11), n))))
+            rows.append(tuple(sorted((rng.randint(0, 10) for _ in range(n)), reverse=True)))
+    try:
+        evaluate.clear_caches()
+        for k in rows:
+            n, value = len(k), alpha(k)
+            assert op(k) == value, k
+            assert (-1) ** (n - 1) * op(k[1:] + (k[0] - n,)) == value, k
+            assert op(tuple(-x for x in reversed(k))) == value, k
+            assert sum_operator(lambda *l: alpha(l), k) == value, k
+    finally:
+        evaluate.clear_caches()
 
 
 def test_cache_limit_keeps_results_correct(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +126,7 @@ _REPORT = (b'{"type": "report", "identity_id": "x", "parameters": %s, "status": 
     pytest.param(b'{"type": "triangle", "rows": [1]}', "triangle", id="row-not-a-list"),
     pytest.param(b"", "matrix", id="empty-csv"),
     pytest.param(b"0,1\n1,2\n", "matrix", id="csv-cell-out-of-range"),
+    pytest.param(b"9" * 5000 + b"\n", "matrix", id="csv-cell-past-the-digit-limit"),
     pytest.param(b"1\n", "triangle", id="csv-as-triangle"),
     pytest.param(b'{"type": "triangle", "rows": ' + b"[" * 100000 + b"]" * 100000 + b"}",
                  "triangle", id="nested-too-deeply"),
@@ -132,6 +134,20 @@ _REPORT = (b'{"type": "report", "identity_id": "x", "parameters": %s, "status": 
 def test_bad_bytes_raise_parse_error(data, kind):
     with pytest.raises(ParseError):
         deserialize(data, kind)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the interpreter limits integer digits from 3.10.7")
+@pytest.mark.parametrize("kind, data", [
+    ("triangle", '{"type": "triangle", "rows": [[%s]]}'),
+    ("matrix", '{"type": "matrix", "entries": [[%s]]}'),
+    ("report", '{"type": "report", "identity_id": "x", "parameters": {}, "status": "Verified",'
+               ' "details": [["d", %s, 1]], "elapsed_ms": 1.0}'),
+])
+def test_json_integer_past_the_digit_limit_is_a_parse_error(kind, data):
+    # json.loads refuses it with a plain ValueError, not a JSONDecodeError
+    with pytest.raises(ParseError, match="digits"):
+        deserialize(data % ("9" * 5000), kind)
 
 
 _GOOD_REPORT = {"type": "report", "identity_id": "x", "parameters": {"n": 3},
