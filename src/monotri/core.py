@@ -23,6 +23,18 @@ from enum import Enum
 from .errors import InvalidInputError
 
 
+def _row_tuples(rows) -> tuple:
+    """``rows`` as a tuple of tuples, refused by row if a row is not iterable."""
+    rows = tuple(rows) if hasattr(rows, "__iter__") else (rows,)  # a bare value is one row
+    try:
+        return tuple(map(tuple, rows))
+    except TypeError:
+        for i, row in enumerate(rows, start=1):
+            if not hasattr(row, "__iter__"):
+                raise InvalidInputError(f"row {i}: {row!r} is not a sequence of entries") from None
+        raise
+
+
 @dataclass(frozen=True)
 class TriangularArray:
     """Integer triangle; carrier for monotone and decreasing monotone triangles."""
@@ -30,7 +42,7 @@ class TriangularArray:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
+        rows = _row_tuples(self.rows)
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise InvalidInputError("triangle needs at least one row")
@@ -60,17 +72,18 @@ class SignMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        entries = tuple(tuple(row) for row in self.entries)
+        entries = _row_tuples(self.entries)
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise InvalidInputError("matrix needs at least one row")
         width = len(entries[0])
-        for r, row in enumerate(entries):
+        for r, row in enumerate(entries, start=1):
             if len(row) != width:
-                raise InvalidInputError(f"row {r + 1} has {len(row)} entries, expected {width}")
-            for c, x in enumerate(row):
+                raise InvalidInputError(f"row {r} has {len(row)} entries, expected {width}")
+            for x in row:
                 if type(x) is not int or not -1 <= x <= 1:
-                    raise InvalidInputError(f"row {r + 1} column {c + 1}: {x!r} not in {{-1,0,1}}")
+                    c = next(c for c, y in enumerate(row, 1) if y is x)  # earlier entries passed
+                    raise InvalidInputError(f"row {r} column {c}: {x!r} not in {{-1,0,1}}")
 
     @property
     def rows(self) -> int:
@@ -191,15 +204,23 @@ def _dmt_steps(rows):
     """Decide a DMT in one pass: ``(counts, steps)``, its per-row value counts
     and its tally of count steps (see ``StatRecord``), or None unless the
     diagonals weakly decrease, no row holds a value thrice and no step is
-    (1, 1), the no-single-descendant rule."""
+    (1, 1), the no-single-descendant rule.  Past the diagonal check rows
+    weakly decrease, so each pair of adjacent equal entries sets its value's
+    count to 2, and a second pair of one value is a third entry."""
     for upper, lower in zip(rows, rows[1:]):
         for j, x in enumerate(upper):
             if not (lower[j] >= x >= lower[j + 1]):
                 return None
-    counts = [Counter(row) for row in rows]
-    if any(c > 2 for cnt in counts for c in cnt.values()):
-        return None
-    steps = Counter([(c, lower[v]) for upper, lower in zip(counts, counts[1:])
+    counts = []
+    for row in rows:
+        cnt = dict.fromkeys(row, 1)
+        for v, w in zip(row, row[1:]):
+            if v == w:
+                if cnt[v] == 2:
+                    return None
+                cnt[v] = 2
+        counts.append(cnt)
+    steps = Counter([(c, lower.get(v, 0)) for upper, lower in zip(counts, counts[1:])
                      for v, c in upper.items()])
     if steps[1, 1]:
         return None

@@ -82,13 +82,13 @@ def serialize(value, format: str = "json") -> bytes:
         raise InvalidInputError(f"unknown format {format!r}")
     if isinstance(value, TriangularArray):
         if format == "json":
-            return json.dumps({"type": "triangle", "rows": [list(r) for r in value.rows]}).encode()
+            return json.dumps({"type": "triangle", "rows": value.rows}).encode()
         if format == "text":
             return _triangle_text(value).encode()
         raise InvalidInputError("csv is only defined for matrices and report tables")
     if isinstance(value, SignMatrix):
         if format == "json":
-            return json.dumps({"type": "matrix", "entries": [list(r) for r in value.entries]}).encode()
+            return json.dumps({"type": "matrix", "entries": value.entries}).encode()
         if format == "text":
             return _matrix_text(value).encode()
         return _csv_bytes(value.entries)

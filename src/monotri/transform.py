@@ -4,10 +4,11 @@ Both directions share one partial-sum rule: entry (i, j) of the matrix is
 the count of value j in row i of the triangle minus the same count one row
 up.  ``triangle_to_matrix`` counts each row's values into a list;
 ``matrix_to_triangle`` reads the counts of row i off the column walks that
-the membership check returns: each walk's state after row i.  Monotone
-triangles with bottom row (1..n) correspond to n x n ASMs (column sums 1);
-decreasing monotone triangles with bottom row (n, n, ..., 1, 1) correspond
-to (2n) x n 2-ASMs (column sums 2).
+the membership check returns (each walk's state after row i) and joins one
+run per value, the value repeated by its count.  Monotone triangles with
+bottom row (1..n) correspond to n x n ASMs (column sums 1); decreasing
+monotone triangles with bottom row (n, n, ..., 1, 1) correspond to (2n) x n
+2-ASMs (column sums 2).
 
 The structured subset S1 (every even row consists entirely of pairs) maps
 onto monotone triangles by collapsing each pair of an even row to a single
@@ -24,8 +25,7 @@ matrix argument is checked against the one description of its class in
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain, repeat
-from operator import sub
+from operator import getitem, sub
 
 from .core import (
     SignMatrix,
@@ -84,18 +84,17 @@ def triangle_to_matrix(t: TriangularArray, kind: BijectionKind) -> SignMatrix:
 
 
 def matrix_to_triangle(m: SignMatrix, kind: BijectionKind) -> TriangularArray:
-    """Inverse of ``triangle_to_matrix``: row i lists the values 1..n, in
-    ascending order for an ASM and descending order for a 2-ASM, each
-    repeated by the i-th partial sum of its column.  The partial sums are
-    the states of the column walks that the membership check returns."""
+    """Inverse of ``triangle_to_matrix``: row i joins one run per value 1..n,
+    ascending for an ASM and descending for a 2-ASM; ``runs[j][s]`` is the
+    j-th value repeated s times, s the i-th partial sum of its column: the
+    state after row i of the column walk that the membership check returns."""
     mt = kind is BijectionKind.MT_ASM
     n = m.rows if mt else m.cols
     walks = _check_member(m, "asm" if mt else "2asm", n)
-    values = range(1, n + 1) if mt else range(n, 0, -1)
+    runs = [((), (v,), (v, v)) for v in (range(1, n + 1) if mt else range(n, 0, -1))]
     sums = zip(*(walks if mt else walks[::-1]))
     next(sums)  # the walks' common start, before row 1
-    t = TriangularArray(tuple([tuple(chain.from_iterable(map(repeat, values, row_sums)))
-                               for row_sums in sums]))
+    t = TriangularArray(tuple([sum(map(getitem, runs, row_sums), ()) for row_sums in sums]))
     if not (validate_monotone(t) if mt else validate_dmt(t)):
         raise InternalError(f"{kind.value} inverse produced an invalid triangle {t.rows}")
     return t

@@ -33,6 +33,8 @@ from golden import DMT_8, DMTS_63321, DMTS_63321_DD, MT5_ROWS, dmt_bottom
 
 
 def test_triangle_shape_enforced():
+    # any integer is a triangle entry, 2 and -2 included
+    assert TriangularArray(((2,), (-2, 2))).rows == ((2,), (-2, 2))
     with pytest.raises(InvalidInputError):
         TriangularArray(((1,), (2, 2, 3)))
     with pytest.raises(InvalidInputError):
@@ -46,6 +48,61 @@ def test_sign_matrix_entries_enforced():
         SignMatrix(((0, 1), (1,)))
     with pytest.raises(InvalidInputError):
         SignMatrix(())
+
+
+_SIGN_FAULT = "row {} column {}: {} not in {{-1,0,1}}"
+
+
+@pytest.mark.parametrize("rows, message", [
+    # each refused value in the last row and column
+    (((0, 1), (1, 2)), _SIGN_FAULT.format(2, 2, "2")),
+    (((0, 1), (1, -2)), _SIGN_FAULT.format(2, 2, "-2")),
+    (((0, 1), (1, True)), _SIGN_FAULT.format(2, 2, "True")),
+    (((0, 1), (1, 1.0)), _SIGN_FAULT.format(2, 2, "1.0")),
+    # a later row of the wrong width, shorter or longer
+    (((1, 0), (0, 1), (1,)), "row 3 has 1 entries, expected 2"),
+    (((1,), (0,), (0, 1)), "row 3 has 2 entries, expected 1"),
+    # the first fault wins, in row order, and a row's width before its entries
+    (((1, 2), (0,)), _SIGN_FAULT.format(1, 2, "2")),
+    (((1, 0), (0,), (1, 5)), "row 2 has 1 entries, expected 2"),
+    (((0, 1), (2, 5, 0)), "row 2 has 3 entries, expected 2"),
+    # within a row, the first refused entry, after equal accepted ones
+    (((1, 1, True, 1.0),), _SIGN_FAULT.format(1, 3, "True")),
+    (((0, 1.0, 1.0),), _SIGN_FAULT.format(1, 2, "1.0")),
+    (((-1, 2, 2),), _SIGN_FAULT.format(1, 2, "2")),
+])
+def test_sign_matrix_refusal_names_the_first_fault(rows, message):
+    with pytest.raises(InvalidInputError) as e:
+        SignMatrix(rows)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("rows, message", [
+    (((1,), (1, 2), (1, 2, True)), "row 3 has a non-integer entry True"),
+    (((1,), (1, 2), (1, 2, 1.0)), "row 3 has a non-integer entry 1.0"),
+    (((1,), (1, 2), (1, 2)), "row 3 has 2 entries, expected 3"),
+    (((1,), (1, 2), (1, 2, 3, 4)), "row 3 has 4 entries, expected 3"),
+    (((1,), (1, 2.0), (1, 2)), "row 2 has a non-integer entry 2.0"),
+    (((1,), (1, 2, 3), (True,)), "row 2 has 3 entries, expected 2"),
+])
+def test_triangle_refusal_names_the_first_fault(rows, message):
+    with pytest.raises(InvalidInputError) as e:
+        TriangularArray(rows)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SignMatrix(((1,), 5)), "row 2: 5 is not a sequence of entries"),
+    (lambda: TriangularArray(((1,), 5)), "row 2: 5 is not a sequence of entries"),
+    (lambda: TriangularArray(iter([(1,), None])), "row 2: None is not a sequence of entries"),
+    (lambda: TriangularArray(None), "row 1: None is not a sequence of entries"),
+    (lambda: SignMatrix(0), "row 1: 0 is not a sequence of entries"),
+], ids=["matrix-int-row", "triangle-int-row", "triangle-generator", "triangle-none",
+        "matrix-int"])
+def test_carriers_refuse_rows_that_are_not_sequences(build, message):
+    with pytest.raises(InvalidInputError) as e:
+        build()
+    assert str(e.value) == message
 
 
 @pytest.mark.parametrize("build", [
@@ -163,8 +220,19 @@ def _validator_cases():
     return small + [t + (k,) for t in tops for k in product(range(1, 5), repeat=4)]
 
 
+def _counter_tally_stats(rows) -> StatRecord:
+    """``StatRecord``'s count-step tally with one ``Counter`` per row, so a
+    value missing from the row below counts 0 there."""
+    counts = [Counter(row) for row in rows]
+    steps = Counter((c, lower[v]) for upper, lower in zip(counts, counts[1:])
+                    for v, c in upper.items())
+    pairs = tuple(sum(c == 2 for c in cnt.values()) for cnt in counts)
+    return StatRecord(pairs, steps[1, 0], steps[1, 2], steps[2, 1] + pairs[-1],
+                      steps[2, 2] + pairs[-1], steps[2, 2], steps[1, 0] + sum(pairs[:-1]))
+
+
 def test_validators_match_entry_oracles_exhaustively():
-    seen = {"mt": 0, "dmt": 0}
+    seen = {"mt": 0, "dmt": 0, "dmt with newcomers": 0}
     for rows in _validator_cases():
         t = TriangularArray(rows)
         mt, dmt = _monotone_oracle(rows), _dmt_oracle(rows)
@@ -172,15 +240,17 @@ def test_validators_match_entry_oracles_exhaustively():
         assert validate_dmt(t) == dmt, rows
         # the statistics read the DMT check's pass, so they refuse the same
         try:
-            triangle_stats(t)
+            st = triangle_stats(t)
         except InvalidInputError as e:
             assert str(e) == "not a decreasing monotone triangle" and not dmt, rows
         else:
-            assert dmt, rows
+            assert dmt and st == _counter_tally_stats(rows), rows
+            seen["dmt with newcomers"] += st.newcomers > 0
         seen["mt"] += mt
         seen["dmt"] += dmt
-    # the tallies pin the case set, and both classes are well represented
-    assert seen == {"mt": 104, "dmt": 60}
+    # the tallies pin the case set, and both classes are well represented;
+    # a newcomer is a value missing from the row below
+    assert seen == {"mt": 104, "dmt": 60, "dmt with newcomers": 16}
 
 
 @pytest.mark.parametrize("rows, mt, dmt", [

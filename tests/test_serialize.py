@@ -22,10 +22,16 @@ def test_triangle_json_golden():
     t = TriangularArray(((4,),))
     assert serialize(t) == b'{"type": "triangle", "rows": [[4]]}'
     assert deserialize(serialize(t), "triangle") == t
+    t = TriangularArray(((2,), (1, 3), (1, 2, 3)))
+    assert serialize(t) == b'{"type": "triangle", "rows": [[2], [1, 3], [1, 2, 3]]}'
+    assert deserialize(serialize(t), "triangle") == t
 
 
 def test_matrix_json_roundtrip():
     m = SignMatrix(TWOASM_5)
+    assert deserialize(serialize(m), "matrix") == m
+    m = SignMatrix(((0, 1), (1, -1)))
+    assert serialize(m) == b'{"type": "matrix", "entries": [[0, 1], [1, -1]]}'
     assert deserialize(serialize(m), "matrix") == m
 
 
